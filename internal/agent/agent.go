@@ -181,6 +181,45 @@ func (a *Agent) BackendName() string {
 	return a.backend.Name()
 }
 
+// Fingerprint hashes the agent's full served identity — shape, every
+// parameter's float32 bits, the BatchNorm running statistics, and the
+// GEMM backend name — with FNV-1a. Two agents share a fingerprint only
+// when their evaluations are interchangeable. CachedEvaluator salts
+// its keys with it; the ECO warm store also uses it to detect that a
+// stored agent was retrained.
+func (a *Agent) Fingerprint() uint64 {
+	const (
+		fnvOffset = 14695981039346656037
+		fnvPrime  = 1099511628211
+	)
+	h := uint64(fnvOffset)
+	word := func(w uint64) {
+		h = (h ^ w) * fnvPrime
+	}
+	word(uint64(a.Cfg.Zeta))
+	word(uint64(a.Cfg.Channels))
+	word(uint64(a.Cfg.ResBlocks))
+	word(uint64(a.Cfg.MaxSteps))
+	for _, b := range []byte(a.BackendName()) {
+		word(uint64(b))
+	}
+	for _, p := range a.params {
+		word(uint64(len(p.W)))
+		for _, v := range p.W {
+			word(uint64(math.Float32bits(v)))
+		}
+	}
+	for _, bn := range a.batchNorms() {
+		for _, v := range bn.RunMean {
+			word(uint64(math.Float32bits(v)))
+		}
+		for _, v := range bn.RunVar {
+			word(uint64(math.Float32bits(v)))
+		}
+	}
+	return h
+}
+
 func (a *Agent) layers() []nn.Layer {
 	ls := []nn.Layer{a.conv1, a.bn1, a.act1}
 	for _, rb := range a.tower {

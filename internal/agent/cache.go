@@ -6,22 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// Inferencer is the pure batched-inference surface CachedEvaluator
-// memoizes: *Agent implements it directly, and *InferClient implements
-// it by routing batches through the process-wide inference server.
-// Implementations must be safe for concurrent use and bit-identical
-// per sample to Agent.EvaluateBatchInto (the cache stores outputs and
-// replays them as hits).
-type Inferencer interface {
-	EvaluateBatchInto(in []BatchInput, out []Output)
-}
-
-// CachedEvaluator wraps an Inferencer (normally an Agent) with an LRU
-// cache over its inference results, so repeated evaluations of the
-// same placement state — the MCTS root re-evaluated across restarts,
-// the greedy-RL episode's states re-reached by the search,
-// transpositions where different action orders produce the same
-// occupancy map — skip the network entirely.
+// CachedEvaluator wraps an Agent with an LRU cache over its inference
+// results, so repeated evaluations of the same placement state — the
+// MCTS root re-evaluated across restarts, the greedy-RL episode's
+// states re-reached by the search, transpositions where different
+// action orders produce the same occupancy map — skip the network
+// entirely.
 //
 // Keying is content-addressed: the 128-bit key hashes ⟨t, the float64
 // bit patterns of s_p and s_a⟩. An identical placement prefix always
@@ -50,15 +40,13 @@ type Inferencer interface {
 // if the agent trains again; core.Placer wires the discard, and the
 // ECO warm store (internal/eco) wires Retarget. As defense in depth
 // against a cache outliving its weights, every key is salted with the
-// wrapped Inferencer's weight fingerprint (Fingerprint, when
-// implemented): entries stored for one set of weights are unreachable
-// through any other, so a warm cache reused across jobs can never
-// serve hits from a differently-trained agent.
+// wrapped Agent's weight fingerprint (Agent.Fingerprint): entries
+// stored for one set of weights are unreachable through any other, so
+// a warm cache reused across jobs can never serve hits from a
+// differently-trained agent.
 type CachedEvaluator struct {
-	inf Inferencer
-	// fp salts every key with the weight fingerprint of inf (zero when
-	// inf does not expose one — then the structural 1:1 pairing of
-	// cache and evaluator is the only staleness guard, as before).
+	ag *Agent
+	// fp salts every key with the weight fingerprint of ag.
 	fp     uint64
 	mask   uint64 // shard index mask: nshards-1
 	shards [cacheShards]cacheShard
@@ -108,15 +96,6 @@ const DefaultCacheSize = 4096
 // NewCachedEvaluator wraps ag with an LRU evaluation cache holding up
 // to capacity entries in total (DefaultCacheSize when capacity <= 0).
 func NewCachedEvaluator(ag *Agent, capacity int) *CachedEvaluator {
-	return NewCachedEvaluatorFor(ag, capacity)
-}
-
-// NewCachedEvaluatorFor is NewCachedEvaluator over any Inferencer —
-// the inference-server client path uses it to put the per-job cache in
-// front of the shared batch server. When inf exposes a weight
-// fingerprint (Agent and InferClient both do), it is captured now and
-// salted into every key.
-func NewCachedEvaluatorFor(inf Inferencer, capacity int) *CachedEvaluator {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
@@ -125,7 +104,7 @@ func NewCachedEvaluatorFor(inf Inferencer, capacity int) *CachedEvaluator {
 		nshards = 1
 	}
 	perShard := (capacity + nshards - 1) / nshards
-	c := &CachedEvaluator{inf: inf, fp: fingerprintOf(inf), mask: uint64(nshards - 1)}
+	c := &CachedEvaluator{ag: ag, fp: ag.Fingerprint(), mask: uint64(nshards - 1)}
 	for i := 0; i < nshards; i++ {
 		s := &c.shards[i]
 		s.m = make(map[cacheKey]int32, perShard)
@@ -136,30 +115,14 @@ func NewCachedEvaluatorFor(inf Inferencer, capacity int) *CachedEvaluator {
 	return c
 }
 
-// fingerprinter is the optional weight-identity surface of an
-// Inferencer. Agent and InferClient implement it; wrappers that
-// intercept evaluations (fault injectors) typically don't, which
-// leaves their caches unsalted — matching the pre-fingerprint
-// behaviour.
-type fingerprinter interface {
-	Fingerprint() uint64
-}
-
-func fingerprintOf(inf Inferencer) uint64 {
-	if f, ok := inf.(fingerprinter); ok {
-		return f.Fingerprint()
-	}
-	return 0
-}
-
 // Fingerprint returns the weight fingerprint salted into this cache's
-// keys (zero when the wrapped Inferencer exposes none).
+// keys.
 func (c *CachedEvaluator) Fingerprint() uint64 { return c.fp }
 
-// Retarget points the cache at a different Inferencer — the ECO warm
+// Retarget points the cache at a different Agent — the ECO warm
 // store's retrain path: the cache object (and whatever entries remain
 // valid) persists across jobs on one design, while a retrained agent
-// swaps in underneath. The key salt is re-captured from inf, so
+// swaps in underneath. The key salt is re-captured from ag, so
 // entries stored under the old weights become unreachable immediately
 // (they age out of the LRU); zero stale hits is guaranteed by
 // construction rather than by remembering to flush.
@@ -167,9 +130,9 @@ func (c *CachedEvaluator) Fingerprint() uint64 { return c.fp }
 // Not safe to call concurrently with lookups: quiesce the cache (no
 // in-flight Forward/Probe/EvaluateBatchInto) first. The warm store
 // serializes jobs per design, which provides exactly that.
-func (c *CachedEvaluator) Retarget(inf Inferencer) {
-	c.inf = inf
-	c.fp = fingerprintOf(inf)
+func (c *CachedEvaluator) Retarget(ag *Agent) {
+	c.ag = ag
+	c.fp = ag.Fingerprint()
 }
 
 func (c *CachedEvaluator) shard(key cacheKey) *cacheShard {
@@ -232,15 +195,6 @@ func (c *CachedEvaluator) store(key cacheKey, out Output) {
 	s.mu.Unlock()
 }
 
-// evalState runs a single state through the wrapped Inferencer (the
-// miss path of Forward).
-func (c *CachedEvaluator) evalState(sp, sa []float64, t int) Output {
-	in := [1]BatchInput{{SP: sp, SA: sa, T: t}}
-	var out [1]Output
-	c.inf.EvaluateBatchInto(in[:], out[:])
-	return out[0]
-}
-
 // Forward implements the sequential half of mcts.Evaluator: a cache
 // lookup, falling through to the pure batched-inference path on a
 // miss. Unlike Agent.Forward it records no backward caches (searches
@@ -255,7 +209,7 @@ func (c *CachedEvaluator) Forward(sp, sa []float64, t int) Output {
 	c.misses.Add(1)
 	obsCacheMisses.Inc()
 
-	out := c.evalState(sp, sa, t)
+	out := c.ag.EvalState(sp, sa, t)
 	c.store(key, out)
 	return out
 }
@@ -324,7 +278,7 @@ func (c *CachedEvaluator) EvaluateBatchInto(in []BatchInput, out []Output) {
 
 	if len(sc.sub) > 0 {
 		sc.subOut = sc.subOut[:len(sc.sub)]
-		c.inf.EvaluateBatchInto(sc.sub, sc.subOut)
+		c.ag.EvaluateBatchInto(sc.sub, sc.subOut)
 		for j, i := range sc.miss {
 			out[i] = sc.subOut[j]
 			c.store(sc.keys[i], sc.subOut[j])

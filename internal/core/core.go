@@ -119,14 +119,6 @@ type Options struct {
 	// "int8" is the quantized tower (opt-in, accuracy-gated, not
 	// bit-identical). Unknown names fail Preprocess.
 	NNBackend string
-	// Infer, when set, routes this placer's post-training leaf
-	// evaluations through the process-wide inference server, so
-	// concurrent jobs serving bit-identical weights coalesce their
-	// batches into shared GEMM calls. The per-job evaluation cache
-	// stays in front of the server (a hit never crosses it). The flow
-	// registers lazily after training and releases the registration on
-	// retrain or Close.
-	Infer *agent.InferServer
 }
 
 // StageEvent reports a flow stage transition (Options.OnStage).
@@ -225,10 +217,7 @@ type Placer struct {
 	// evalCache is the shared post-training evaluation cache (see
 	// Options.EvalCacheSize); nil until searchEvaluator builds it.
 	evalCache *agent.CachedEvaluator
-	// inferClient is this placer's registration on Options.Infer,
-	// created lazily with the cache and released on retrain/Close.
-	inferClient *agent.InferClient
-	times       StageTimes
+	times     StageTimes
 }
 
 // stageStart emits the start event for a stage and returns the
@@ -391,21 +380,7 @@ func (p *Placer) EvalAnchors(anchors []int) float64 {
 // baseEvaluator returns the clean evaluator (shared LRU cache over the
 // agent, built lazily so it only ever caches post-training weights;
 // the raw agent with EvalCacheSize < 0) without the Options wrapper.
-// With Options.Infer set, the cache fronts a shared-inference client
-// instead of the agent itself: misses coalesce with other jobs'
-// batches, hits never leave this process's cache. (The cache is always
-// on in that mode — a serverful flow with no cache would round-trip
-// every probe.)
 func (p *Placer) baseEvaluator() mcts.Evaluator {
-	if p.Opts.Infer != nil {
-		if p.evalCache == nil {
-			if p.inferClient == nil {
-				p.inferClient = p.Opts.Infer.Register(p.Agent)
-			}
-			p.evalCache = agent.NewCachedEvaluatorFor(p.inferClient, p.Opts.EvalCacheSize)
-		}
-		return p.evalCache
-	}
 	if p.Opts.EvalCacheSize < 0 {
 		return p.Agent
 	}
@@ -415,16 +390,11 @@ func (p *Placer) baseEvaluator() mcts.Evaluator {
 	return p.evalCache
 }
 
-// Close releases process-wide resources the placer holds (currently
-// the shared-inference registration). Safe to call multiple times and
-// on a placer that never registered; the placer remains usable — the
-// next search re-registers lazily.
+// Close drops the placer's evaluation cache, so the next search
+// starts cold and rebuilds it lazily. Safe to call multiple times; the
+// placer remains usable.
 func (p *Placer) Close() {
 	p.evalCache = nil
-	if p.inferClient != nil {
-		p.inferClient.Close()
-		p.inferClient = nil
-	}
 }
 
 // searchEvaluator returns the evaluator the search stages should
@@ -511,9 +481,7 @@ func (p *Placer) PretrainContext(ctx context.Context) *rl.Trainer {
 	start := time.Now()
 	defer p.stageStart("pretrain")()
 	// Training mutates the weights, so any cached evaluations are
-	// stale; searchEvaluator rebuilds the cache on next use. The
-	// shared-inference registration is fingerprinted to the old
-	// weights, so it is released too (re-registered lazily).
+	// stale; searchEvaluator rebuilds the cache on next use.
 	p.Close()
 	p.Trainer = rl.NewTrainer(p.Opts.RL, p.Agent, p.Env.Clone(), p.EvalAnchors)
 	p.Trainer.Logf = p.Opts.Logf

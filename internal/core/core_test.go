@@ -337,3 +337,45 @@ func TestPretrainInvalidatesEvalCache(t *testing.T) {
 		t.Fatal("training must drop the stale evaluation cache")
 	}
 }
+
+// Close is the cold-rerun contract: a search after Close starts from an
+// empty evaluation cache, so it repeats the first search exactly —
+// same hit/miss counts, same committed allocation and wirelength.
+// Without Close the rerun finds the first search's entries and hits
+// more often.
+func TestCloseRestartsSearchCold(t *testing.T) {
+	d := gen.Generate(gen.Spec{Name: "closecold", MovableMacros: 6, Cells: 120, Nets: 200, Seed: 63})
+	p, err := New(d, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Preprocess(); err != nil {
+		t.Fatal(err)
+	}
+	p.Pretrain()
+	first := p.RunMCTS()
+	if first.CacheMisses == 0 {
+		t.Fatal("first search recorded no cache misses — cache not wired in")
+	}
+
+	p.Close()
+	cold := p.RunMCTS()
+	if cold.CacheHits != first.CacheHits || cold.CacheMisses != first.CacheMisses {
+		t.Fatalf("rerun after Close: hits/misses %d/%d, first run %d/%d",
+			cold.CacheHits, cold.CacheMisses, first.CacheHits, first.CacheMisses)
+	}
+	if cold.Wirelength != first.Wirelength {
+		t.Fatalf("rerun after Close: wirelength %v, first run %v", cold.Wirelength, first.Wirelength)
+	}
+	for i := range first.Anchors {
+		if cold.Anchors[i] != first.Anchors[i] {
+			t.Fatalf("rerun after Close committed %v, first run %v", cold.Anchors, first.Anchors)
+		}
+	}
+
+	warm := p.RunMCTS()
+	if warm.CacheHits <= cold.CacheHits {
+		t.Fatalf("rerun without Close: %d hits, cold rerun %d — the warm cache served nothing",
+			warm.CacheHits, cold.CacheHits)
+	}
+}

@@ -115,7 +115,6 @@ type Coordinator struct {
 	sweepDone chan struct{}
 
 	httpSrv *http.Server
-	ln      net.Listener
 }
 
 // New builds a coordinator (wrapping a serve.Server whose Pool and
@@ -241,21 +240,12 @@ func (c *Coordinator) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("fleet: listen %s: %w", addr, err)
 	}
-	c.ln = ln
 	c.httpSrv = &http.Server{
 		Handler:           c.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go func() { _ = c.httpSrv.Serve(ln) }()
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound listen address ("" before Start).
-func (c *Coordinator) Addr() string {
-	if c.ln == nil {
-		return ""
-	}
-	return c.ln.Addr().String()
 }
 
 // Shutdown drains gracefully: stop the health sweeper, drain the job

@@ -9,8 +9,8 @@ import (
 // Backend is a pluggable implementation of the fused GEMM+bias(+ReLU)
 // kernel that dominates batched inference (the Conv2D im2col product).
 // A Backend must be safe for concurrent use from multiple goroutines:
-// the batched inference kernels are documented concurrency-safe and a
-// process-wide inference server funnels many jobs through one Backend.
+// the batched inference kernels are documented concurrency-safe, so
+// callers may share one Backend across goroutines.
 //
 // Contract: C = A·B + bias (bias[i] broadcast over output row i) with
 // an optional fused ReLU, A (m×k), B (k×n), C (m×n) row-major. The

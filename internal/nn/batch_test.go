@@ -41,7 +41,7 @@ func TestConv2DForwardBatchMatchesSequential(t *testing.T) {
 	xb := make([]float32, cin*batch*hw)
 	fillPattern(xb, 3)
 
-	got := conv.ForwardBatch(xb, batch, h, w)
+	got := conv.ForwardBatchWS(nil, xb, batch, h, w, false)
 	for b := 0; b < batch; b++ {
 		xs := gatherSample(xb, cin, batch, hw, b)
 		want := conv.Forward(FromSlice(xs, cin, h, w)).Data
@@ -69,10 +69,17 @@ func TestBatchNormForwardBatchMatchesSequential(t *testing.T) {
 
 	runMean := append([]float32(nil), bn.RunMean...)
 	runVar := append([]float32(nil), bn.RunVar...)
-	got := bn.ForwardBatch(xb, batch, hw)
+	got := bn.ForwardBatchWS(nil, xb, batch, hw, false)
+	fused := bn.ForwardBatchWS(nil, xb, batch, hw, true)
 	for i := range runMean {
 		if bn.RunMean[i] != runMean[i] || bn.RunVar[i] != runVar[i] {
-			t.Fatal("ForwardBatch mutated running statistics")
+			t.Fatal("ForwardBatchWS mutated running statistics")
+		}
+	}
+	// The fused ReLU is max(0, ·) of the identical normalised value.
+	for i, v := range got {
+		if want := max(v, 0); fused[i] != want {
+			t.Fatalf("elem %d: fused ReLU %v != max(0, %v)", i, fused[i], v)
 		}
 	}
 
@@ -96,7 +103,7 @@ func TestResBlockForwardBatchMatchesSequential(t *testing.T) {
 	fillPattern(xb, 7)
 	// The sequential pass mutates BN running stats; run the batch first
 	// (pure) and compare against fresh sequential passes.
-	got := rb.ForwardBatch(xb, batch, h, w)
+	got := rb.ForwardBatchWS(nil, xb, batch, h, w)
 	for b := 0; b < batch; b++ {
 		xs := gatherSample(xb, c, batch, hw, b)
 		want := rb.Forward(FromSlice(xs, c, h, w)).Data
@@ -115,10 +122,14 @@ func TestLinearApplyMatchesForward(t *testing.T) {
 	x := make([]float32, in)
 	fillPattern(x, 9)
 	want := l.Forward(FromSlice(x, in)).Data
-	got := l.Apply(x)
+	got := l.ApplyInto(make([]float32, out), x, false)
+	fused := l.ApplyInto(make([]float32, out), x, true)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("elem %d: Apply %v != Forward %v", i, got[i], want[i])
+			t.Fatalf("elem %d: ApplyInto %v != Forward %v", i, got[i], want[i])
+		}
+		if fused[i] != max(want[i], 0) {
+			t.Fatalf("elem %d: fused ReLU %v != max(0, %v)", i, fused[i], want[i])
 		}
 	}
 }
@@ -132,17 +143,6 @@ func TestEmbeddingAtClampsAndMatchesLookup(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("id %d elem %d: At %v != Lookup %v", id, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-func TestReLUBatch(t *testing.T) {
-	x := []float32{-1, 0, 2.5, -0.001, 7}
-	ReLUBatch(x)
-	want := []float32{0, 0, 2.5, 0, 7}
-	for i := range want {
-		if x[i] != want[i] {
-			t.Fatalf("elem %d: %v != %v", i, x[i], want[i])
 		}
 	}
 }

@@ -138,13 +138,3 @@ type Layer interface {
 	// Params returns the layer's learnable parameters.
 	Params() []*Param
 }
-
-// SetTraining toggles train/eval behaviour on layers that distinguish
-// them (BatchNorm). It walks the provided layers.
-func SetTraining(training bool, layers ...Layer) {
-	for _, l := range layers {
-		if bn, ok := l.(*BatchNorm2D); ok {
-			bn.Training = training
-		}
-	}
-}

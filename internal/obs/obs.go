@@ -177,14 +177,6 @@ func (s *Span) Observe(d time.Duration) {
 	s.nanos.Add(int64(d))
 }
 
-// Start begins timing and returns the function that stops it:
-//
-//	defer span.Start()()
-func (s *Span) Start() func() {
-	t0 := time.Now()
-	return func() { s.Observe(time.Since(t0)) }
-}
-
 // Count returns the number of completed invocations.
 func (s *Span) Count() uint64 { return s.count.Load() }
 

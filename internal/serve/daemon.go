@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"macroplace/internal/agent"
 	"macroplace/internal/atomicio"
 	"macroplace/internal/core"
 	"macroplace/internal/eco"
@@ -54,21 +52,9 @@ type Config struct {
 	RetryAfter time.Duration
 	// Logf receives daemon diagnostics (nil discards).
 	Logf func(format string, args ...any)
-	// SharedInference routes every single-flow job's leaf evaluations
-	// through one process-wide agent.InferServer, so concurrent jobs
-	// with bit-identical models coalesce their batches into shared GEMM
-	// calls (results stay bit-identical to solo runs — see
-	// agent.InferServer). Off by default: the library caller opts in;
-	// cmd/placed exposes it as -shared-inference.
-	SharedInference bool
-	// Infer overrides the shared inference server used when
-	// SharedInference is set (nil: a fresh one). Tests inject a server
-	// with a positive Linger here to force cross-job coalescing.
-	Infer *agent.InferServer
 	// Runner overrides how a job's flow executes — tests inject faults
 	// here, and the fleet coordinator routes jobs to remote workers.
-	// nil selects RunSpec, the production runner (routed through the
-	// shared inference server when SharedInference is set).
+	// nil selects RunSpec, the production runner.
 	Runner func(ctx context.Context, j *Job) (*Result, error)
 	// Pool overrides the queue/placement policy. nil selects
 	// NewScheduler(Workers, QueueCap), the local bounded-FIFO pool; the
@@ -95,18 +81,8 @@ func (c Config) normalize() (Config, error) {
 	} else if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return c, fmt.Errorf("serve: job dir: %w", err)
 	}
-	if c.SharedInference && c.Infer == nil {
-		c.Infer = agent.NewInferServer()
-	}
 	if c.Runner == nil {
-		if c.SharedInference {
-			infer := c.Infer
-			c.Runner = func(ctx context.Context, j *Job) (*Result, error) {
-				return RunSpecShared(ctx, j, j.Spec, infer)
-			}
-		} else {
-			c.Runner = RunSpec
-		}
+		c.Runner = RunSpec
 	}
 	return c, nil
 }
@@ -127,7 +103,6 @@ type Server struct {
 	draining bool
 
 	httpSrv *http.Server
-	ln      net.Listener
 }
 
 // NewServer builds a daemon from cfg and starts its worker pool. Call
@@ -266,16 +241,6 @@ func (d *Server) LoadInfo() (running, queued int, draining bool) {
 	return running, queued, d.draining
 }
 
-// Cancel cancels the job with the given id (queued or running).
-func (d *Server) Cancel(id string) bool {
-	j, ok := d.Job(id)
-	if !ok {
-		return false
-	}
-	j.Cancel(ErrCancelled)
-	return true
-}
-
 // Drain stops admitting jobs, cancels queued jobs, interrupts running
 // flows so they commit (and checkpoint) their best-so-far placements,
 // and waits for the pool to empty — bounded by ctx, after which it
@@ -410,14 +375,6 @@ func RunSpec(ctx context.Context, j *Job) (*Result, error) {
 // resume snapshot attached, without mutating the admitted (client-
 // visible) spec under concurrent Status readers.
 func RunSpecAs(ctx context.Context, j *Job, spec Spec) (*Result, error) {
-	return RunSpecShared(ctx, j, spec, nil)
-}
-
-// RunSpecShared is RunSpecAs with the job's leaf evaluations routed
-// through a shared inference server (nil: job-private inference, the
-// RunSpecAs behaviour). Race jobs ignore infer: portfolio backends own
-// their placers end to end.
-func RunSpecShared(ctx context.Context, j *Job, spec Spec, infer *agent.InferServer) (*Result, error) {
 	if len(spec.Race) > 0 {
 		return runRaceSpec(ctx, j)
 	}
@@ -434,12 +391,6 @@ func RunSpecShared(ctx context.Context, j *Job, spec Spec, infer *agent.InferSer
 	p, err := core.New(design, spec.Options())
 	if err != nil {
 		return nil, err
-	}
-	if infer != nil {
-		p.Opts.Infer = infer
-		// Release this job's client registration when the flow ends so
-		// idle model groups (and their serving goroutines) retire.
-		defer p.Close()
 	}
 	if sn := spec.Resume; sn != nil {
 		// Check needs the materialised search environment; PlaceContext

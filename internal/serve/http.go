@@ -220,7 +220,6 @@ func (d *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
-	d.ln = ln
 	d.httpSrv = &http.Server{
 		Handler: d.Handler(),
 		// Submissions and status reads are small; the event stream and
@@ -231,25 +230,12 @@ func (d *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound listen address ("" before Start).
-func (d *Server) Addr() string {
-	if d.ln == nil {
-		return ""
-	}
-	return d.ln.Addr().String()
-}
-
 // Shutdown is the daemon's graceful-exit path: drain the job layer
 // (stop admitting, cancel queued jobs, interrupt running flows so
 // they checkpoint and finish), then drain the HTTP listener, falling
 // back to an immediate close when ctx expires first.
 func (d *Server) Shutdown(ctx context.Context) error {
 	err := d.Drain(ctx)
-	if d.cfg.Infer != nil {
-		// Jobs are drained (or abandoned to their checkpoints), so no
-		// client submits after this; stop the shared serving goroutines.
-		d.cfg.Infer.Close()
-	}
 	if d.httpSrv != nil {
 		herr := d.httpSrv.Shutdown(ctx)
 		if herr != nil {

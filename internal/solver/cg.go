@@ -31,9 +31,6 @@ func NewSparseSym(n int) *SparseSym {
 	}
 }
 
-// N returns the dimension.
-func (m *SparseSym) N() int { return m.n }
-
 // AddDiag adds v to entry (i, i).
 func (m *SparseSym) AddDiag(i int, v float64) { m.diag[i] += v }
 

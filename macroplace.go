@@ -84,9 +84,6 @@ type SearchSnapshot = mcts.Snapshot
 // Agent is the Actor–Critic network guiding the search.
 type Agent = agent.Agent
 
-// RLSnapshot is a frozen agent copy taken during training.
-type RLSnapshot = rl.Snapshot
-
 // Reward modes for RLConfig.Mode (the Fig. 4 ablation).
 const (
 	// RewardShaped is Eq. (9) with the α offset (paper default).
@@ -314,13 +311,9 @@ func WriteRunSummary(path string, run map[string]any) error {
 	return obs.WriteSummary(path, run)
 }
 
-// PlacerBackend is the unified placement interface every backend —
-// the paper's flow and all baselines — implements; see
-// internal/portfolio and DESIGN.md §11 for the contract.
-type PlacerBackend = portfolio.Placer
-
-// PortfolioOptions are the backend-neutral options a PlacerBackend
-// accepts.
+// PortfolioOptions are the backend-neutral options every portfolio
+// backend accepts; see internal/portfolio and DESIGN.md §11 for the
+// placer contract.
 type PortfolioOptions = portfolio.Options
 
 // PortfolioIncumbent is one entry of the anytime incumbent stream.
@@ -337,9 +330,6 @@ type RaceResult = portfolio.RaceResult
 
 // PortfolioBackends lists every registered backend name, sorted.
 func PortfolioBackends() []string { return portfolio.Names() }
-
-// LookupBackend returns the named backend from the registry.
-func LookupBackend(name string) (PlacerBackend, bool) { return portfolio.Lookup(name) }
 
 // RaceBackends runs the named backends concurrently on d under one
 // deadline and returns every outcome plus the winner — d is never
