@@ -157,7 +157,8 @@ func New(cfg Config) *Agent {
 // inference path (EvaluateBatch and everything above it); nil restores
 // the default blocked kernel, which is bit-identical to never calling
 // SetBackend. The training path (Forward/Backward) always uses the
-// default kernels — backends only accelerate the frozen-weight search.
+// default kernels, with their own lower fan-out threshold — backends
+// only accelerate the frozen-weight search.
 // Not synchronized: call before inference begins, not concurrently
 // with it.
 func (a *Agent) SetBackend(b nn.Backend) {
@@ -266,6 +267,24 @@ func (a *Agent) batchNorms() []*nn.BatchNorm2D {
 	return append(out, a.bnP, a.bnV)
 }
 
+// ReleaseTrainingState drops the gradient buffers and the
+// convolutions' backward caches, which a trained agent that only runs
+// inference no longer needs. Call it between updates, when the
+// gradients are zero; the next Backward allocates zeroed gradients
+// again, so releasing is invisible to later training.
+func (a *Agent) ReleaseTrainingState() {
+	for _, p := range a.params {
+		p.G = nil
+	}
+	a.conv1.ReleaseCache()
+	for _, rb := range a.tower {
+		rb.Conv1.ReleaseCache()
+		rb.Conv2.ReleaseCache()
+	}
+	a.convP.ReleaseCache()
+	a.convV.ReleaseCache()
+}
+
 // NumParams returns the total scalar parameter count.
 func (a *Agent) NumParams() int {
 	n := 0
@@ -354,6 +373,11 @@ func (a *Agent) Backward(action int, advantage, target float32, entropyCoef floa
 		panic("agent: Backward without a preceding Forward")
 	}
 	a.haveCaches = false
+	for _, p := range a.params { // restore gradients after ReleaseTrainingState
+		if p.G == nil {
+			p.G = make([]float32, len(p.W))
+		}
+	}
 	z := a.Cfg.Zeta
 	n := z * z
 

@@ -292,3 +292,36 @@ func TestLoadRejectsTruncated(t *testing.T) {
 		t.Error("truncated checkpoint should fail to load")
 	}
 }
+
+// TestReleaseTrainingStateIsInvisible: releasing an agent's gradients
+// and backward caches must not change a later training step — the
+// released agent's outputs and gradients match an unreleased twin's
+// bit for bit.
+func TestReleaseTrainingStateIsInvisible(t *testing.T) {
+	a := testAgent()
+	b := a.Clone()
+	r := rng.New(9)
+	sp, sa := randState(r, 36, 4)
+	a.Forward(sp, sa, 1) // populate a's caches before releasing them
+	a.ReleaseTrainingState()
+	for _, p := range a.Params() {
+		if p.G != nil {
+			t.Fatalf("param %s kept its gradient after release", p.Name)
+		}
+	}
+	outA := a.Forward(sp, sa, 2)
+	outB := b.Forward(sp, sa, 2)
+	a.Backward(5, 0.25, 0.5, 0.01)
+	b.Backward(5, 0.25, 0.5, 0.01)
+	if math.Float32bits(outA.Value) != math.Float32bits(outB.Value) {
+		t.Fatalf("value %v after release, %v without", outA.Value, outB.Value)
+	}
+	pb := b.Params()
+	for i, p := range a.Params() {
+		for j := range p.G {
+			if math.Float32bits(p.G[j]) != math.Float32bits(pb[i].G[j]) {
+				t.Fatalf("param %s grad %d = %v after release, %v without", p.Name, j, p.G[j], pb[i].G[j])
+			}
+		}
+	}
+}

@@ -48,7 +48,7 @@ func (a *Agent) putScratch(sc *inferScratch) { a.infPool.Put(sc) }
 // never do). Per sample the arithmetic matches Forward operation for
 // operation, so the outputs are bit-identical to evaluating each state
 // alone; the whole batch flows through single MatMul calls big enough
-// to engage the nn package's parallel matmul kernel.
+// to fan out across the nn package's worker pool.
 func (a *Agent) EvaluateBatch(in []BatchInput) []Output {
 	if len(in) == 0 {
 		return nil

@@ -95,6 +95,8 @@ const DefaultCacheSize = 4096
 
 // NewCachedEvaluator wraps ag with an LRU evaluation cache holding up
 // to capacity entries in total (DefaultCacheSize when capacity <= 0).
+// Entry storage grows on demand up to the capacity, so a short search
+// does not hold a full-size table.
 func NewCachedEvaluator(ag *Agent, capacity int) *CachedEvaluator {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
@@ -107,8 +109,7 @@ func NewCachedEvaluator(ag *Agent, capacity int) *CachedEvaluator {
 	c := &CachedEvaluator{ag: ag, fp: ag.Fingerprint(), mask: uint64(nshards - 1)}
 	for i := 0; i < nshards; i++ {
 		s := &c.shards[i]
-		s.m = make(map[cacheKey]int32, perShard)
-		s.ents = make([]cacheEntry, 0, perShard)
+		s.m = make(map[cacheKey]int32)
 		s.cap = perShard
 		s.head, s.tail = -1, -1
 	}

@@ -114,7 +114,7 @@ type Options struct {
 	WrapEvaluator func(mcts.Evaluator) mcts.Evaluator
 	// NNBackend selects the GEMM backend for the inference path by
 	// registry name (see nn.Backends): "" or "blocked" is the default
-	// serial cache-blocked kernel (bit-identical to the seed flow),
+	// register-blocked kernel (bit-identical to the seed flow),
 	// "parallel" shards row panels across a persistent worker pool,
 	// "int8" is the quantized tower (opt-in, accuracy-gated, not
 	// bit-identical). Unknown names fail Preprocess.
@@ -199,6 +199,8 @@ type Placer struct {
 	Env    *grid.Env
 	Agent  *agent.Agent
 
+	// Trainer is the last pre-training run. PretrainContext releases
+	// its training-only state (rl.Trainer.Release) when it returns.
 	Trainer *rl.Trainer
 
 	coarsePlacer *gplace.Placer
@@ -486,6 +488,9 @@ func (p *Placer) PretrainContext(ctx context.Context) *rl.Trainer {
 	p.Trainer = rl.NewTrainer(p.Opts.RL, p.Agent, p.Env.Clone(), p.EvalAnchors)
 	p.Trainer.Logf = p.Opts.Logf
 	p.Trainer.RunContext(ctx)
+	// The flow never resumes this trainer: a finished placer keeps
+	// only what search and inference need.
+	p.Trainer.Release()
 	p.times.Pretrain = time.Since(start)
 	obsPretrain.Observe(p.times.Pretrain)
 	return p.Trainer

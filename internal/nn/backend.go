@@ -28,8 +28,8 @@ type Backend interface {
 }
 
 // DefaultBackendName is the registry name resolved from an empty
-// backend selection: the cache-blocked serial kernel, bit-identical to
-// the pre-backend code path.
+// backend selection: the register-blocked kernel, bit-identical to the
+// pre-backend code path.
 const DefaultBackendName = "blocked"
 
 // Backends lists the registry names accepted by NewBackend, default
@@ -55,9 +55,9 @@ func NewBackend(name string) (Backend, error) {
 	return nil, fmt.Errorf("nn: unknown backend %q (have %v)", name, Backends())
 }
 
-// blockedBackend is the existing serial cache-blocked kernel (with the
-// large-product automatic fan-out of MatMul). It is the default and is
-// bit-identical to calling MatMulBias directly.
+// blockedBackend is the register-blocked kernel with MatMulBias's
+// large-product fan-out. It is the default and is bit-identical to
+// calling MatMulBias directly.
 type blockedBackend struct{}
 
 func (blockedBackend) Name() string { return "blocked" }
@@ -102,65 +102,18 @@ func (naiveBackend) MatMulBias(c, a, b, bias []float32, m, k, n int, relu bool) 
 // more in wake-ups than the arithmetic saves.
 const parallelMinWork = 1 << 16
 
-// parallelBackend shards row panels of C across a persistent worker
-// pool. Each worker runs the same cache-blocked row kernel the serial
-// path uses (matmulRows is row-independent and bit-identical per row)
-// plus the bias/ReLU epilogue for its own panel, so the result is
-// bit-identical to the serial blocked kernel regardless of worker
-// count or scheduling. Unlike MatMul's automatic fan-out it reuses
-// pooled goroutines (no per-call spawn) and engages at a much smaller
-// product, which is what the high-rate MCTS leaf batches need.
+// parallelBackend fans row panels of C out across the shared worker
+// pool at a much smaller product than the default kernel does
+// (parallelMinWork instead of 1<<20). Each panel runs the same row
+// kernel and fused bias/ReLU epilogue as the serial path, so the
+// result is bit-identical to the blocked backend regardless of worker
+// count or scheduling.
 type parallelBackend struct{}
 
 func (*parallelBackend) Name() string { return "parallel" }
 
 func (*parallelBackend) MatMulBias(c, a, b, bias []float32, m, k, n int, relu bool) {
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic("nn: MatMulBias buffer too small")
-	}
-	pool := sharedPool()
-	if m*k*n < parallelMinWork || pool.n == 1 || m == 1 {
-		MatMulBias(c, a, b, bias, m, k, n, relu)
-		return
-	}
-	workers := pool.n
-	if workers > m {
-		workers = m
-	}
-	chunk := (m + workers - 1) / workers
-	panels := (m + chunk - 1) / chunk
-	pool.run(panels, func(panel int, ws *Workspace) {
-		r0 := panel * chunk
-		r1 := r0 + chunk
-		if r1 > m {
-			r1 = m
-		}
-		matmulRows(c, a, b, k, n, r0, r1)
-		biasReluRows(c, bias, n, r0, r1, relu)
-	})
-}
-
-// biasReluRows applies the bias (+ optional ReLU) epilogue to rows
-// [r0, r1) of C — the same per-element operations MatMulBias performs,
-// restricted to a panel.
-func biasReluRows(c, bias []float32, n, r0, r1 int, relu bool) {
-	for i := r0; i < r1; i++ {
-		bi := bias[i]
-		ci := c[i*n : i*n+n]
-		if relu {
-			for j, v := range ci {
-				v += bi
-				if v < 0 {
-					v = 0
-				}
-				ci[j] = v
-			}
-		} else {
-			for j := range ci {
-				ci[j] += bi
-			}
-		}
-	}
+	matMulBias(c, a, b, bias, m, k, n, relu, parallelMinWork)
 }
 
 // workerPool is a process-wide pool of persistent GEMM workers, one
@@ -172,12 +125,20 @@ type workerPool struct {
 	tasks chan poolTask
 }
 
+// poolTask is one panel of a run; every panel of a run shares its
+// poolRun.
 type poolTask struct {
+	run *poolRun
+	id  int
+}
+
+// poolRun is the state one run call shares with its panels, allocated
+// once per call.
+type poolRun struct {
 	f    func(panel int, ws *Workspace)
-	id   int
-	wg   *sync.WaitGroup
-	mu   *sync.Mutex
-	pval *any
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	pval any // first panel panic, re-raised by run
 }
 
 var (
@@ -215,18 +176,31 @@ func (p *workerPool) worker() {
 // submitting goroutine, where callers (the mcts batcher) already
 // recover kernel panics into errors.
 func (p *workerPool) runOne(t poolTask, ws *Workspace) {
-	defer t.wg.Done()
+	r := t.run
+	defer r.wg.Done()
 	defer func() {
-		if r := recover(); r != nil {
-			t.mu.Lock()
-			if *t.pval == nil {
-				*t.pval = r
+		if v := recover(); v != nil {
+			r.mu.Lock()
+			if r.pval == nil {
+				r.pval = v
 			}
-			t.mu.Unlock()
+			r.mu.Unlock()
 		}
 	}()
 	ws.Reset()
-	t.f(t.id, ws)
+	r.f(t.id, ws)
+}
+
+// runRows splits the rows [0, m) of a product into one contiguous
+// panel per worker and runs rows on each. Rows of C are independent,
+// so the split never changes a result bit. rows must not itself fan
+// out (see run).
+func (p *workerPool) runRows(m int, rows func(r0, r1 int)) {
+	chunk := (m + p.n - 1) / p.n
+	p.run((m+chunk-1)/chunk, func(panel int, _ *Workspace) {
+		r0 := panel * chunk
+		rows(r0, min(r0+chunk, m))
+	})
 }
 
 // run dispatches panels tasks to the pool and blocks until all
@@ -237,17 +211,13 @@ func (p *workerPool) run(panels int, f func(panel int, ws *Workspace)) {
 	if panels <= 0 {
 		return
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		pval any
-	)
-	wg.Add(panels)
+	r := &poolRun{f: f}
+	r.wg.Add(panels)
 	for i := 0; i < panels; i++ {
-		p.tasks <- poolTask{f: f, id: i, wg: &wg, mu: &mu, pval: &pval}
+		p.tasks <- poolTask{run: r, id: i}
 	}
-	wg.Wait()
-	if pval != nil {
-		panic(pval)
+	r.wg.Wait()
+	if r.pval != nil {
+		panic(r.pval)
 	}
 }

@@ -10,7 +10,7 @@ import "math"
 // evaluation batcher: they are pure functions of the layer weights —
 // no caches, no BatchNorm running-statistic updates — so they are safe
 // to call concurrently, and they coalesce a whole batch into single
-// MatMul calls large enough to engage the parallel matmul kernel.
+// MatMul calls large enough to fan out across the worker pool.
 //
 // Batched feature maps are stored channel-major over the batch:
 // element (c, b, i) of a [C, B, H*W] map lives at x[(c*B+b)*hw + i].

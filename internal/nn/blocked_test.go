@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"macroplace/internal/rng"
@@ -205,4 +206,189 @@ func TestWorkspaceNilIsValid(t *testing.T) {
 	if len(buf) != 5 {
 		t.Fatalf("nil workspace Take returned len %d", len(buf))
 	}
+}
+
+// fanOutShapes are products at or above the fan-out thresholds, so
+// their rows split into panels on the pool: the real training shapes
+// (conv forward and weight gradient 16x144x256, input gradient
+// 144x16x256), the paper's 128x1152x256 tower product, and odd n (and
+// m) that leave a ragged tail after the 8-wide register blocks and an
+// uneven last panel.
+var fanOutShapes = [][3]int{
+	{16, 144, 256}, {144, 16, 256}, {128, 1152, 256},
+	{16, 144, 263}, {37, 129, 301},
+}
+
+// fillWithZeros fills s with normal samples, a third of them replaced
+// by exact zeros (some negative), which the row kernels skip.
+func fillWithZeros(r *rng.RNG, s []float32) {
+	fillNorm(r, s)
+	for i := range s {
+		switch i % 6 {
+		case 1:
+			s[i] = 0
+		case 4:
+			s[i] = float32(math.Copysign(0, -1))
+		}
+	}
+}
+
+// requireFansOut fails the test if a product of this shape would run
+// serially under minWork, which would make the exactness test below
+// vacuous for the fan-out.
+func requireFansOut(t *testing.T, sh [3]int, minWork int) {
+	t.Helper()
+	if fanOutPool(sh[0], sh[0]*sh[1]*sh[2], minWork) == nil {
+		t.Fatalf("shape %v does not fan out at threshold %d", sh, minWork)
+	}
+}
+
+// TestFanOutExactlyMatchesNaive pins the pooled fan-out of every GEMM
+// product bit for bit against the naive oracles, with the pool forced
+// to three workers so single-CPU runs cover the panels too.
+func TestFanOutExactlyMatchesNaive(t *testing.T) {
+	forcePoolWorkers(t, 3)
+	r := rng.New(27)
+	for _, sh := range fanOutShapes {
+		m, k, n := sh[0], sh[1], sh[2]
+
+		// C = A·B + bias through MatMulBias (inference threshold) and
+		// through the training layer's threshold.
+		a := make([]float32, m*k)
+		b := make([]float32, k*n)
+		bias := make([]float32, m)
+		fillWithZeros(r, a)
+		fillNorm(r, b)
+		fillNorm(r, bias)
+		sum := make([]float32, m*n)
+		naiveMatMul(sum, a, b, m, k, n)
+		requireFansOut(t, sh, trainFanOutWork)
+		for _, relu := range []bool{false, true} {
+			want := make([]float32, m*n)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					v := sum[i*n+j] + bias[i]
+					if relu && v < 0 {
+						v = 0
+					}
+					want[i*n+j] = v
+				}
+			}
+			got := make([]float32, m*n)
+			MatMulBias(got, a, b, bias, m, k, n, relu)
+			requireExact(t, "MatMulBias", sh, got, want)
+			clearF32(got)
+			matMulBias(got, a, b, bias, m, k, n, relu, trainFanOutWork)
+			requireExact(t, "matMulBias(train)", sh, got, want)
+		}
+
+		// C = Aᵀ·B with A (k×m).
+		at := make([]float32, k*m)
+		fillWithZeros(r, at)
+		got := make([]float32, m*n)
+		want := make([]float32, m*n)
+		MatMulATB(got, at, b, m, k, n)
+		naiveATB(want, at, b, m, k, n)
+		requireExact(t, "MatMulATB", sh, got, want)
+
+		// C += A·Bᵀ with B (n×k), onto nonzero prior contents.
+		bt := make([]float32, n*k)
+		fillNorm(r, bt)
+		fillNorm(r, got)
+		copy(want, got)
+		MatMulABTAcc(got, a, bt, m, k, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var s float32
+				for p := 0; p < k; p++ {
+					s += a[i*k+p] * bt[j*k+p]
+				}
+				want[i*n+j] += s
+			}
+		}
+		requireExact(t, "MatMulABTAcc", sh, got, want)
+	}
+}
+
+// TestGEMMLengthGuards: every product checks its buffers up front and
+// panics on the calling goroutine with a named message, before any
+// row panel starts.
+func TestGEMMLengthGuards(t *testing.T) {
+	forcePoolWorkers(t, 3)
+	m, k, n := 16, 144, 256
+	a := make([]float32, m*k)
+	b := make([]float32, k*n)
+	c := make([]float32, m*n)
+	bias := make([]float32, m)
+	cases := map[string]func(){
+		"MatMul":             func() { MatMul(c[:m*n-1], a, b, m, k, n) },
+		"MatMulBias":         func() { MatMulBias(c, a, b[:k*n-1], bias, m, k, n, false) },
+		"MatMulBias(bias)":   func() { MatMulBias(c, a, b, bias[:m-1], m, k, n, true) },
+		"MatMulATB":          func() { MatMulATB(c[:m*n-1], a, b, m, k, n) },
+		"MatMulATB(A)":       func() { MatMulATB(c, a[:k*m-1], b, m, k, n) },
+		"MatMulABTAcc":       func() { MatMulABTAcc(c[:m*n-1], a, b, m, k, n) },
+		"MatMulABTAcc(B)":    func() { MatMulABTAcc(c, a, b[:n*k-1], m, k, n) },
+		"parallel backend":   func() { (&parallelBackend{}).MatMulBias(c, a[:m*k-1], b, bias, m, k, n, false) },
+		"MatMulABTAcc(A, k)": func() { MatMulABTAcc(c, a, b, m, k+1, n) },
+	}
+	for name, call := range cases {
+		func() {
+			defer func() {
+				v := recover()
+				msg, _ := v.(string)
+				if !strings.Contains(msg, "buffer too small") {
+					t.Errorf("%s: panic %v, want a buffer-too-small guard", name, v)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// TestFanOutPanelPanicReRaisesOnCaller: a panic inside one row panel
+// on a pool worker (here each product's row kernel is handed an output
+// one row short, the failure its length guard now stops up front) must
+// re-raise on the calling goroutine instead of crashing the process,
+// and the pool must keep producing exact results afterwards.
+func TestFanOutPanelPanicReRaisesOnCaller(t *testing.T) {
+	forcePoolWorkers(t, 3)
+	m, k, n := 16, 144, 256
+	r := rng.New(28)
+	a := make([]float32, m*k)
+	b := make([]float32, k*n)
+	bias := make([]float32, m)
+	at := make([]float32, k*m)
+	bt := make([]float32, n*k)
+	for _, s := range [][]float32{a, b, bias, at, bt} {
+		fillNorm(r, s)
+	}
+	short := make([]float32, (m-1)*n)
+	panels := map[string]func(r0, r1 int){
+		"MatMulBias":   func(r0, r1 int) { gemmRows(short, a, b, bias, k, n, r0, r1, true) },
+		"MatMulATB":    func(r0, r1 int) { atbRows(short, at, b, m, k, n, r0, r1) },
+		"MatMulABTAcc": func(r0, r1 int) { abtAccRows(short, a, bt, k, n, r0, r1) },
+	}
+	for name, rows := range panels {
+		p := fanOutPool(m, m*k*n, trainFanOutWork)
+		if p == nil {
+			t.Fatalf("%s: %dx%dx%d does not fan out", name, m, k, n)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: panel panic was not re-raised on the caller", name)
+				}
+			}()
+			p.runRows(m, rows)
+		}()
+	}
+
+	got := make([]float32, m*n)
+	want := make([]float32, m*n)
+	matMulBias(got, a, b, bias, m, k, n, true, trainFanOutWork)
+	gemmRows(want, a, b, bias, k, n, 0, m, true)
+	requireExact(t, "MatMulBias after panel panics", [3]int{m, k, n}, got, want)
+	MatMulATB(got, at, b, m, k, n)
+	atbRows(want, at, b, m, k, n, 0, m)
+	requireExact(t, "MatMulATB after panel panics", [3]int{m, k, n}, got, want)
 }

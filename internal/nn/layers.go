@@ -53,7 +53,7 @@ func (c *Conv2D) Forward(x *Tensor) *Tensor {
 	im2col(cols, x.Data, c.Cin, h, w, c.K, c.Pad)
 
 	out := NewTensor(c.Cout, h, w)
-	MatMulBias(out.Data, c.Weight.W, cols, c.Bias.W, c.Cout, ck, hw, false)
+	matMulBias(out.Data, c.Weight.W, cols, c.Bias.W, c.Cout, ck, hw, false, trainFanOutWork)
 	return out
 }
 
@@ -82,6 +82,10 @@ func (c *Conv2D) Backward(dy *Tensor) *Tensor {
 	col2im(dx.Data, dcols, c.Cin, h, w, c.K, c.Pad)
 	return dx
 }
+
+// ReleaseCache drops the im2col buffer kept for Backward; the next
+// Forward allocates a new one.
+func (c *Conv2D) ReleaseCache() { c.cols = nil }
 
 // im2col lowers x[Cin,H,W] into cols[Cin*K*K, H*W] for stride-1
 // convolution with the given padding.

@@ -85,7 +85,10 @@ func (t *Tensor) Scale(f float32) {
 	}
 }
 
-// Param is a learnable parameter with its gradient accumulator.
+// Param is a learnable parameter with its gradient accumulator. G is
+// nil while an agent's training state is released (see
+// agent.Agent.ReleaseTrainingState) and comes back zeroed on the next
+// Backward.
 type Param struct {
 	Name string
 	W    []float32

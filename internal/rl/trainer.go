@@ -272,6 +272,9 @@ func (tr *Trainer) RunContext(ctx context.Context) {
 	if tr.Cfg.SnapshotEvery > 0 {
 		tr.Snapshots = append(tr.Snapshots, Snapshot{Episode: 0, Agent: tr.Agent.Clone()})
 	}
+	if tr.opt == nil {
+		tr.opt = nn.NewAdam(tr.Agent.Params(), float32(tr.Cfg.LR))
+	}
 	var batch []episodeRecord
 	sampler := tr.rnd.Split("actions")
 
@@ -316,6 +319,17 @@ func (tr *Trainer) RunContext(ctx context.Context) {
 			tr.Snapshots = append(tr.Snapshots, Snapshot{Episode: ep, Agent: tr.Agent.Clone()})
 		}
 	}
+}
+
+// Release drops the training-only state once no more training is
+// planned: the optimizer moments, the watchdog's last good copy, and
+// the agent's gradients and backward caches. History, Snapshots,
+// Scaler and Faults stay. A later RunContext starts with a fresh
+// optimizer and takes a new last good copy.
+func (tr *Trainer) Release() {
+	tr.opt = nil
+	tr.lastGood = nil
+	tr.Agent.ReleaseTrainingState()
 }
 
 // guardedUpdate applies one batched update under the watchdog: the

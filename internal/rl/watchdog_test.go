@@ -118,3 +118,30 @@ func TestTrainerRunContextCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestTrainerReleaseThenRun: after Release, training can resume — a
+// fresh optimizer and last good copy are rebuilt, the gradients come
+// back, and the agent stays healthy.
+func TestTrainerReleaseThenRun(t *testing.T) {
+	tr := testTrainer(Config{Episodes: 8, UpdateEvery: 4, CalibrationEpisodes: 5, Seed: 9})
+	tr.Run()
+	tr.Release()
+	if tr.opt != nil || tr.lastGood != nil {
+		t.Fatal("Release kept the optimizer or the last good copy")
+	}
+	tr.Run()
+	if len(tr.History) != 16 {
+		t.Fatalf("history = %d entries after resuming, want 16", len(tr.History))
+	}
+	if tr.opt == nil || tr.lastGood == nil {
+		t.Fatal("resumed run did not rebuild the optimizer and last good copy")
+	}
+	for _, p := range tr.Agent.Params() {
+		if len(p.G) != len(p.W) {
+			t.Fatalf("param %s has %d gradients for %d weights after resuming", p.Name, len(p.G), len(p.W))
+		}
+	}
+	if !agentHealthy(tr.Agent) {
+		t.Fatal("resumed training left non-finite weights")
+	}
+}
