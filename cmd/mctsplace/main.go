@@ -77,7 +77,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel MCTS workers (0 = all CPUs, 1 = sequential/deterministic)")
 		channels   = flag.Int("channels", 16, "agent tower width (paper: 128)")
 		resblocks  = flag.Int("resblocks", 2, "agent tower depth (paper: 10)")
-		nnBackend  = flag.String("nn-backend", "", "inference GEMM backend: blocked (default), naive, parallel, int8")
 		out        = flag.String("out", "", "directory to write the placed design as Bookshelf files")
 		svg        = flag.String("svg", "", "file to render the final placement as SVG")
 		saveAgent  = flag.String("saveagent", "", "file to checkpoint the pre-trained agent to")
@@ -204,8 +203,7 @@ func main() {
 			backends: *portfolioF, effort: *effort, grace: *raceGrace,
 			seed: *seed, zeta: *zeta, episodes: *episodes, gamma: *gamma,
 			workers: *workers, channels: *channels, resblocks: *resblocks,
-			nnBackend: *nnBackend, out: *out, svg: *svg,
-			defOut: *defOut, doc: doc, lef: lefLib, dbu: *dbuF,
+			out: *out, svg: *svg, defOut: *defOut, doc: doc, lef: lefLib, dbu: *dbuF,
 		}, runFields, writeSummary, fail)
 		writeSummary()
 		return
@@ -218,7 +216,6 @@ func main() {
 	opts.MCTS.Gamma = *gamma
 	opts.MCTS.Workers = *workers
 	opts.MCTS.FreshRoot = *freshRoot
-	opts.NNBackend = *nnBackend
 	opts.Agent = macroplace.AgentConfig{Zeta: *zeta, Channels: *channels, ResBlocks: *resblocks, Seed: *seed + 100}
 	opts.Logf = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "mctsplace: "+format+"\n", args...)

@@ -23,7 +23,6 @@ type raceFlags struct {
 	workers   int
 	channels  int
 	resblocks int
-	nnBackend string
 	out       string
 	svg       string
 	defOut    string
@@ -47,7 +46,7 @@ func racePortfolio(ctx context.Context, d *macroplace.Design, f raceFlags,
 		Opts: macroplace.PortfolioOptions{
 			Seed: f.seed, Zeta: f.zeta, Effort: f.effort,
 			Workers: f.workers, Channels: f.channels, ResBlocks: f.resblocks,
-			Episodes: f.episodes, Gamma: f.gamma, NNBackend: f.nnBackend,
+			Episodes: f.episodes, Gamma: f.gamma,
 		},
 		Grace: f.grace,
 		OnIncumbent: func(inc macroplace.PortfolioIncumbent) {

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"macroplace/internal/nn"
-	"macroplace/internal/obs"
 	"macroplace/internal/rng"
 )
 
@@ -103,14 +102,6 @@ type Agent struct {
 	// path (see batch.go); the zero value is ready to use.
 	infPool sync.Pool
 
-	// backend is the GEMM implementation the batched inference path
-	// routes through (see SetBackend); nil is the default blocked
-	// kernel. latHist is the per-backend inference latency histogram
-	// matching the current backend, cached so the hot path observes
-	// without a map lookup.
-	backend nn.Backend
-	latHist *obs.Histogram
-
 	// forward caches for Backward
 	lastSA     []float32
 	lastProbs  []float32
@@ -149,45 +140,15 @@ func New(cfg Config) *Agent {
 		a.params = append(a.params, l.Params()...)
 	}
 	a.params = append(a.params, a.posEmb.Params()...)
-	a.latHist = obsInferLatency[nn.DefaultBackendName]
 	return a
 }
 
-// SetBackend selects the GEMM backend for this agent's batched
-// inference path (EvaluateBatch and everything above it); nil restores
-// the default blocked kernel, which is bit-identical to never calling
-// SetBackend. The training path (Forward/Backward) always uses the
-// default kernels, with their own lower fan-out threshold — backends
-// only accelerate the frozen-weight search.
-// Not synchronized: call before inference begins, not concurrently
-// with it.
-func (a *Agent) SetBackend(b nn.Backend) {
-	a.backend = b
-	name := nn.DefaultBackendName
-	if b != nil {
-		name = b.Name()
-	}
-	if h, ok := obsInferLatency[name]; ok {
-		a.latHist = h
-	} else {
-		a.latHist = obsInferLatency[nn.DefaultBackendName]
-	}
-}
-
-// BackendName reports the active inference backend's registry name.
-func (a *Agent) BackendName() string {
-	if a.backend == nil {
-		return nn.DefaultBackendName
-	}
-	return a.backend.Name()
-}
-
-// Fingerprint hashes the agent's full served identity — shape, every
-// parameter's float32 bits, the BatchNorm running statistics, and the
-// GEMM backend name — with FNV-1a. Two agents share a fingerprint only
-// when their evaluations are interchangeable. CachedEvaluator salts
-// its keys with it; the ECO warm store also uses it to detect that a
-// stored agent was retrained.
+// Fingerprint hashes the agent's full served identity — its shape and
+// every parameter's float32 bits — with FNV-1a. Nothing else affects
+// an evaluation, so two agents share a fingerprint exactly when their
+// evaluations are interchangeable, and inference never changes it.
+// CachedEvaluator salts its keys with it; the ECO warm store also uses
+// it to detect that a stored agent was retrained.
 func (a *Agent) Fingerprint() uint64 {
 	const (
 		fnvOffset = 14695981039346656037
@@ -201,20 +162,9 @@ func (a *Agent) Fingerprint() uint64 {
 	word(uint64(a.Cfg.Channels))
 	word(uint64(a.Cfg.ResBlocks))
 	word(uint64(a.Cfg.MaxSteps))
-	for _, b := range []byte(a.BackendName()) {
-		word(uint64(b))
-	}
 	for _, p := range a.params {
 		word(uint64(len(p.W)))
 		for _, v := range p.W {
-			word(uint64(math.Float32bits(v)))
-		}
-	}
-	for _, bn := range a.batchNorms() {
-		for _, v := range bn.RunMean {
-			word(uint64(math.Float32bits(v)))
-		}
-		for _, v := range bn.RunVar {
 			word(uint64(math.Float32bits(v)))
 		}
 	}
@@ -251,20 +201,6 @@ func (a *Agent) CopyWeightsFrom(other *Agent) {
 	for i, p := range a.params {
 		copy(p.W, other.params[i].W)
 	}
-	// BatchNorm running statistics are part of the learned state too.
-	ab, ob := a.batchNorms(), other.batchNorms()
-	for i := range ab {
-		copy(ab[i].RunMean, ob[i].RunMean)
-		copy(ab[i].RunVar, ob[i].RunVar)
-	}
-}
-
-func (a *Agent) batchNorms() []*nn.BatchNorm2D {
-	out := []*nn.BatchNorm2D{a.bn1}
-	for _, rb := range a.tower {
-		out = append(out, rb.BN1, rb.BN2)
-	}
-	return append(out, a.bnP, a.bnV)
 }
 
 // ReleaseTrainingState drops the gradient buffers and the

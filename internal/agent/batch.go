@@ -29,9 +29,6 @@ func (a *Agent) getScratch() *inferScratch {
 	if !ok {
 		sc = &inferScratch{}
 	}
-	// Stamp the agent's backend on every checkout: the pool may hold
-	// scratches from before a SetBackend call.
-	sc.ws.Backend = a.backend
 	return sc
 }
 
@@ -41,11 +38,10 @@ func (a *Agent) putScratch(sc *inferScratch) { a.infPool.Put(sc) }
 // returns one Output per input, in order.
 //
 // Unlike Forward it is a pure function of the weights: it touches
-// neither the layer caches that Backward consumes nor the BatchNorm
-// running statistics, so it is safe to call concurrently with other
-// EvaluateBatch calls (Forward/Backward must still be externally
-// serialized against it only insofar as they mutate weights — searches
-// never do). Per sample the arithmetic matches Forward operation for
+// none of the layer caches that Backward consumes, so it is safe to
+// call concurrently with other EvaluateBatch calls (Forward/Backward
+// must still be externally serialized against it only insofar as they
+// mutate weights — searches never do). Per sample the arithmetic matches Forward operation for
 // operation, so the outputs are bit-identical to evaluating each state
 // alone; the whole batch flows through single MatMul calls big enough
 // to fan out across the nn package's worker pool.
@@ -141,15 +137,14 @@ func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 		}
 		out[b].Value = val
 	}
-	a.latHist.Observe(time.Since(t0).Seconds())
+	obsInferLatency.Observe(time.Since(t0).Seconds())
 }
 
 // EvalState runs both heads on a single state through the pure batched
 // kernels: the inference-path counterpart of Forward. The result is
 // bit-identical to Forward's (the batch kernels pin that per sample)
-// but it records no backward caches, leaves the BatchNorm running
-// statistics untouched, and — warm scratch arena aside — allocates
-// only the returned Probs slice. Safe for concurrent use.
+// but it records no backward caches and — warm scratch arena aside —
+// allocates only the returned Probs slice. Safe for concurrent use.
 func (a *Agent) EvalState(sp, sa []float64, t int) Output {
 	in := [1]BatchInput{{SP: sp, SA: sa, T: t}}
 	var out [1]Output

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"macroplace/internal/nn"
 	"macroplace/internal/rng"
 )
 
@@ -188,31 +187,6 @@ func TestCacheNoCrossFingerprintHits(t *testing.T) {
 	// cross-fingerprint hits). B-phase batch: 5 hits on B's own entries.
 	if h != 5 || m != 10 {
 		t.Fatalf("hits=%d misses=%d, want 5/10 (a cross-fingerprint hit occurred)", h, m)
-	}
-}
-
-// The GEMM backend is part of the weight identity: an int8 agent's
-// outputs differ from the blocked kernel's, so a cache in front of it
-// must key under a different fingerprint than one in front of the same
-// weights on the default backend.
-func TestCacheFingerprintIncludesBackend(t *testing.T) {
-	ag := New(Config{Zeta: 6, Channels: 8, ResBlocks: 2, MaxSteps: 9, Seed: 23})
-	agQ := ag.Clone()
-	if agQ.Fingerprint() != ag.Fingerprint() {
-		t.Fatal("a clone on the same backend fingerprints differently")
-	}
-	be, err := nn.NewBackend("int8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	agQ.SetBackend(be)
-	blocked := NewCachedEvaluator(ag, 64).Fingerprint()
-	if NewCachedEvaluator(agQ, 64).Fingerprint() == blocked {
-		t.Fatal("int8 and blocked agents share a cache fingerprint")
-	}
-	agQ.SetBackend(nil)
-	if NewCachedEvaluator(agQ, 64).Fingerprint() != blocked {
-		t.Fatal("restoring the default backend did not restore the fingerprint")
 	}
 }
 

@@ -10,13 +10,18 @@ import (
 	"macroplace/internal/atomicio"
 )
 
-// checkpointMagic identifies agent checkpoint files.
-const checkpointMagic = "MPAGENT1"
+const (
+	// checkpointMagic identifies agent checkpoint files.
+	checkpointMagic = "MPAGENT2"
+	// checkpointMagicV1 identifies the previous format, which also
+	// stored each BatchNorm's running mean and variance after the
+	// weights. No evaluation reads them; Load checks and skips them.
+	checkpointMagicV1 = "MPAGENT1"
+)
 
-// Save serialises the agent's configuration and weights (including
-// BatchNorm running statistics) so a pre-trained agent can be reused
-// across runs — the paper's workflow pre-trains once and searches
-// many times.
+// Save serialises the agent's configuration and weights so a
+// pre-trained agent can be reused across runs — the paper's workflow
+// pre-trains once and searches many times.
 func (a *Agent) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(checkpointMagic); err != nil {
@@ -39,25 +44,19 @@ func (a *Agent) Save(w io.Writer) error {
 			return fmt.Errorf("agent: %s: %w", p.Name, err)
 		}
 	}
-	for _, bn := range a.batchNorms() {
-		if err := writeSlice(bn.RunMean); err != nil {
-			return fmt.Errorf("agent: %w", err)
-		}
-		if err := writeSlice(bn.RunVar); err != nil {
-			return fmt.Errorf("agent: %w", err)
-		}
-	}
 	return bw.Flush()
 }
 
-// Load reads a checkpoint written by Save and returns a fresh agent.
+// Load reads a checkpoint written by Save, or an MPAGENT1 checkpoint,
+// and returns a fresh agent.
 func Load(r io.Reader) (*Agent, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(checkpointMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("agent: %w", err)
 	}
-	if string(magic) != checkpointMagic {
+	v1 := string(magic) == checkpointMagicV1
+	if !v1 && string(magic) != checkpointMagic {
 		return nil, fmt.Errorf("agent: not an agent checkpoint (magic %q)", magic)
 	}
 	var cfg [5]int64
@@ -93,21 +92,34 @@ func Load(r io.Reader) (*Agent, error) {
 			return nil, err
 		}
 	}
-	for i, bn := range a.batchNorms() {
-		if err := readInto(bn.RunMean, fmt.Sprintf("bn%d.mean", i)); err != nil {
-			return nil, err
-		}
-		if err := readInto(bn.RunVar, fmt.Sprintf("bn%d.var", i)); err != nil {
-			return nil, err
+	if v1 {
+		for i, c := range a.v1RunningStatLens() {
+			skip := make([]float32, c)
+			if err := readInto(skip, fmt.Sprintf("bn%d.mean", i)); err != nil {
+				return nil, err
+			}
+			if err := readInto(skip, fmt.Sprintf("bn%d.var", i)); err != nil {
+				return nil, err
+			}
 		}
 	}
-	// Save writes nothing after the last BatchNorm slice, so any
-	// remaining byte means the file is not a checkpoint this Load
-	// understands (e.g. a concatenation or version skew).
+	// Save writes nothing after the last slice, so any remaining byte
+	// means the file is not a checkpoint this Load understands (e.g. a
+	// concatenation or version skew).
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("agent: trailing data after checkpoint payload")
 	}
 	return a, nil
+}
+
+// v1RunningStatLens returns the channel count of each BatchNorm layer,
+// in the order MPAGENT1 files stored their running statistics.
+func (a *Agent) v1RunningStatLens() []int {
+	out := []int{a.bn1.C}
+	for _, rb := range a.tower {
+		out = append(out, rb.BN1.C, rb.BN2.C)
+	}
+	return append(out, a.bnP.C, a.bnV.C)
 }
 
 // validateShape bounds the decoded header dimensions. The limits are

@@ -1,9 +1,6 @@
 package agent
 
-import (
-	"macroplace/internal/nn"
-	"macroplace/internal/obs"
-)
+import "macroplace/internal/obs"
 
 // Process-wide evaluation-cache telemetry (DESIGN.md §9). Instance
 // counters on CachedEvaluator stay exact per cache; these aggregate
@@ -17,17 +14,8 @@ var (
 		"LRU entries recycled to make room at capacity.")
 )
 
-// Per-backend batched-inference latency. obs has no label support by
-// design, so each registry backend gets its own fixed series,
-// `macroplace_agent_infer_<backend>_seconds`, created at init; the
-// Agent caches the histogram matching its active backend so the hot
-// path pays one Observe and no map lookup.
-var obsInferLatency = func() map[string]*obs.Histogram {
-	bounds := []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 1}
-	m := make(map[string]*obs.Histogram, len(nn.Backends()))
-	for _, name := range nn.Backends() {
-		m[name] = obs.NewHistogram("macroplace_agent_infer_"+name+"_seconds",
-			"EvaluateBatch wall time through the "+name+" GEMM backend.", bounds)
-	}
-	return m
-}()
+// Batched-inference latency. The series keeps the name it had when
+// the GEMM kernel was selectable and this was the default's series.
+var obsInferLatency = obs.NewHistogram("macroplace_agent_infer_blocked_seconds",
+	"EvaluateBatch wall time.",
+	[]float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 1})

@@ -22,7 +22,6 @@ import (
 	"macroplace/internal/mcts"
 	"macroplace/internal/metrics"
 	"macroplace/internal/netlist"
-	"macroplace/internal/nn"
 	"macroplace/internal/rl"
 	"macroplace/internal/rng"
 	"macroplace/internal/rowlegal"
@@ -112,13 +111,6 @@ type Options struct {
 	// conformance suite drives with internal/faults; the flow must
 	// contain whatever the wrapper throws.
 	WrapEvaluator func(mcts.Evaluator) mcts.Evaluator
-	// NNBackend selects the GEMM backend for the inference path by
-	// registry name (see nn.Backends): "" or "blocked" is the default
-	// register-blocked kernel (bit-identical to the seed flow),
-	// "parallel" shards row panels across a persistent worker pool,
-	// "int8" is the quantized tower (opt-in, accuracy-gated, not
-	// bit-identical). Unknown names fail Preprocess.
-	NNBackend string
 }
 
 // StageEvent reports a flow stage transition (Options.OnStage).
@@ -329,13 +321,6 @@ func (p *Placer) Preprocess() error {
 		acfg.MaxSteps = len(p.Shapes) + 1
 	}
 	p.Agent = agent.New(acfg)
-	if p.Opts.NNBackend != "" {
-		be, err := nn.NewBackend(p.Opts.NNBackend)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		p.Agent.SetBackend(be)
-	}
 	p.times.Preprocess = time.Since(start)
 	obsPreprocess.Observe(p.times.Preprocess)
 	return nil

@@ -6,11 +6,12 @@ import (
 	"sync"
 )
 
-// Backend is a pluggable implementation of the fused GEMM+bias(+ReLU)
-// kernel that dominates batched inference (the Conv2D im2col product).
-// A Backend must be safe for concurrent use from multiple goroutines:
-// the batched inference kernels are documented concurrency-safe, so
-// callers may share one Backend across goroutines.
+// Backend is an implementation of the fused GEMM+bias(+ReLU) kernel
+// that dominates batched inference (the Conv2D im2col product). The
+// flow always runs MatMulBias itself; the registry below exists so the
+// benchmark harness can time every implementation on the real shapes
+// and the tests can check each one against the naive oracle. A Backend
+// must be safe for concurrent use from multiple goroutines.
 //
 // Contract: C = A·B + bias (bias[i] broadcast over output row i) with
 // an optional fused ReLU, A (m×k), B (k×n), C (m×n) row-major. The
@@ -21,29 +22,21 @@ import (
 // tolerance-gated instead — conformance tests pin both regimes.
 type Backend interface {
 	// Name returns the registry name ("blocked", "naive", "parallel",
-	// "int8") used for flag round-trips and per-backend metrics.
+	// "int8").
 	Name() string
 	// MatMulBias computes C = A·B + bias with an optional fused ReLU.
 	MatMulBias(c, a, b, bias []float32, m, k, n int, relu bool)
 }
 
-// DefaultBackendName is the registry name resolved from an empty
-// backend selection: the register-blocked kernel, bit-identical to the
-// pre-backend code path.
-const DefaultBackendName = "blocked"
-
-// Backends lists the registry names accepted by NewBackend, default
-// first — CLI help and spec validation share this list.
+// Backends lists the registry names accepted by NewBackend.
 func Backends() []string {
 	return []string{"blocked", "naive", "parallel", "int8"}
 }
 
-// NewBackend resolves a registry name to a Backend. The empty name
-// resolves to the default blocked kernel so zero-valued configs stay
-// on the seed-identical path.
+// NewBackend resolves a registry name to a Backend.
 func NewBackend(name string) (Backend, error) {
 	switch name {
-	case "", "blocked":
+	case "blocked":
 		return blockedBackend{}, nil
 	case "naive":
 		return naiveBackend{}, nil
@@ -55,9 +48,8 @@ func NewBackend(name string) (Backend, error) {
 	return nil, fmt.Errorf("nn: unknown backend %q (have %v)", name, Backends())
 }
 
-// blockedBackend is the register-blocked kernel with MatMulBias's
-// large-product fan-out. It is the default and is bit-identical to
-// calling MatMulBias directly.
+// blockedBackend is MatMulBias itself: the register-blocked kernel
+// with its large-product fan-out.
 type blockedBackend struct{}
 
 func (blockedBackend) Name() string { return "blocked" }

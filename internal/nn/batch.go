@@ -91,12 +91,11 @@ func im2colBatch(cols, x []float32, cin, batch, h, w, k, pad int) {
 }
 
 // ForwardBatchWS normalises a channel-major batch with the same
-// per-sample spatial statistics the training-mode Forward uses (the
-// batch dimension is 1 throughout the sequential code, so statistics
-// always come from one sample's H×W extent). Unlike Forward it never
-// touches RunMean/RunVar, which keeps it pure and concurrency-safe;
-// the per-sample outputs are identical because training-mode outputs
-// never depend on the running statistics. The output is drawn from ws
+// per-sample spatial statistics Forward uses (the batch dimension is 1
+// throughout the sequential code, so statistics always come from one
+// sample's H×W extent). Unlike Forward it caches nothing for Backward,
+// which keeps it pure and concurrency-safe; the per-sample outputs are
+// identical to Forward's. The output is drawn from ws
 // (nil ws allocates); relu fuses max(0, ·) of the identical normalised
 // value, bit-identical to a separate rectifying sweep.
 func (bn *BatchNorm2D) ForwardBatchWS(ws *Workspace, x []float32, batch, hw int, relu bool) []float32 {

@@ -157,17 +157,14 @@ func col2im(dx, dcols []float32, cin, h, w, k, pad int) {
 
 // BatchNorm2D normalises each channel over its spatial extent (the
 // batch dimension is 1 throughout this codebase, so statistics come
-// from the H×W samples of the channel). Running statistics are kept
-// for evaluation mode.
+// from the H×W samples of the channel). Training and inference use the
+// same per-sample statistics, so the layer's only state is Gamma and
+// Beta; it keeps no running statistics.
 type BatchNorm2D struct {
-	C        int
-	Eps      float32
-	Momentum float32
-	Training bool
+	C   int
+	Eps float32
 
 	Gamma, Beta *Param
-	RunMean     []float32
-	RunVar      []float32
 
 	// cached for backward
 	xhat   []float32
@@ -178,16 +175,11 @@ type BatchNorm2D struct {
 // NewBatchNorm2D builds a BatchNorm over c channels.
 func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	bn := &BatchNorm2D{
-		C: c, Eps: 1e-5, Momentum: 0.9, Training: true,
-		Gamma:   NewParam(name+".gamma", c),
-		Beta:    NewParam(name+".beta", c),
-		RunMean: make([]float32, c),
-		RunVar:  make([]float32, c),
+		C: c, Eps: 1e-5,
+		Gamma: NewParam(name+".gamma", c),
+		Beta:  NewParam(name+".beta", c),
 	}
 	bn.Gamma.Fill(1)
-	for i := range bn.RunVar {
-		bn.RunVar[i] = 1
-	}
 	return bn
 }
 
@@ -212,21 +204,15 @@ func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
 	for c := 0; c < bn.C; c++ {
 		xc := x.Data[c*hw : (c+1)*hw]
 		var mean, varv float32
-		if bn.Training {
-			for _, v := range xc {
-				mean += v
-			}
-			mean /= n
-			for _, v := range xc {
-				d := v - mean
-				varv += d * d
-			}
-			varv /= n
-			bn.RunMean[c] = bn.Momentum*bn.RunMean[c] + (1-bn.Momentum)*mean
-			bn.RunVar[c] = bn.Momentum*bn.RunVar[c] + (1-bn.Momentum)*varv
-		} else {
-			mean, varv = bn.RunMean[c], bn.RunVar[c]
+		for _, v := range xc {
+			mean += v
 		}
+		mean /= n
+		for _, v := range xc {
+			d := v - mean
+			varv += d * d
+		}
+		varv /= n
 		inv := 1 / float32(math.Sqrt(float64(varv+bn.Eps)))
 		bn.invStd[c] = inv
 		g, b := bn.Gamma.W[c], bn.Beta.W[c]
@@ -240,7 +226,7 @@ func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
 	return out
 }
 
-// Backward implements Layer. Assumes Forward ran in training mode.
+// Backward implements Layer.
 func (bn *BatchNorm2D) Backward(dy *Tensor) *Tensor {
 	h, w := bn.h, bn.w
 	hw := h * w

@@ -308,33 +308,6 @@ func TestResBlockGradients(t *testing.T) {
 	checkInputGradient(t, rb, x, 5e-2)
 }
 
-func TestBatchNormRunningStats(t *testing.T) {
-	r := rng.New(11)
-	bn := NewBatchNorm2D("bn", 1)
-	x := randTensor(r, 1, 8, 8)
-	for i := range x.Data {
-		x.Data[i] = x.Data[i]*2 + 3 // mean 3, std 2
-	}
-	for i := 0; i < 60; i++ {
-		bn.Forward(x)
-	}
-	if math.Abs(float64(bn.RunMean[0])-3) > 0.3 {
-		t.Errorf("running mean = %v, want ≈3", bn.RunMean[0])
-	}
-	if math.Abs(math.Sqrt(float64(bn.RunVar[0]))-2) > 0.4 {
-		t.Errorf("running std = %v, want ≈2", math.Sqrt(float64(bn.RunVar[0])))
-	}
-	// Eval mode uses the running stats and is deterministic.
-	bn.Training = false
-	y1 := bn.Forward(x)
-	y2 := bn.Forward(x)
-	for i := range y1.Data {
-		if y1.Data[i] != y2.Data[i] {
-			t.Fatal("eval mode must be deterministic")
-		}
-	}
-}
-
 func TestEmbedding(t *testing.T) {
 	r := rng.New(12)
 	e := NewEmbedding("e", 4, 3, r)

@@ -19,12 +19,6 @@ type Workspace struct {
 	arena []float32
 	off   int // bump pointer into arena
 	need  int // high-water mark of the current pass
-
-	// Backend selects the GEMM implementation used by the batched
-	// kernels that draw from this workspace. Nil (and a nil workspace)
-	// routes to the default blocked kernel — the exact pre-backend code
-	// path, with zero dispatch overhead beyond one nil check.
-	Backend Backend
 }
 
 // Reset recycles the arena for a new pass, growing it to the previous
@@ -57,13 +51,8 @@ func (w *Workspace) Take(n int) []float32 {
 	return s
 }
 
-// MatMulBias routes the fused GEMM epilogue through the workspace's
-// Backend; a nil workspace or nil Backend runs the default blocked
-// kernel, bit-identical to calling MatMulBias directly.
+// MatMulBias runs the fused GEMM epilogue of the batched kernels that
+// draw from w; it is MatMulBias itself, for a nil workspace too.
 func (w *Workspace) MatMulBias(c, a, b, bias []float32, m, k, n int, relu bool) {
-	if w == nil || w.Backend == nil {
-		MatMulBias(c, a, b, bias, m, k, n, relu)
-		return
-	}
-	w.Backend.MatMulBias(c, a, b, bias, m, k, n, relu)
+	MatMulBias(c, a, b, bias, m, k, n, relu)
 }

@@ -243,7 +243,6 @@ func runMCTSBackend(ctx context.Context, d *netlist.Design, opts Options, emit e
 		resblocks = 2
 	}
 	copts.Agent = agent.Config{Zeta: zeta, Channels: channels, ResBlocks: resblocks, Seed: opts.Seed + 100}
-	copts.NNBackend = opts.NNBackend
 	copts.WrapEvaluator = opts.WrapEvaluator
 	copts.OnIncumbent = func(hpwl float64) { emit(hpwl, false) }
 	if opts.OnStage != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestTrainerGoldenFingerprint pins a small fixed-seed pre-training run
-// bit for bit: the trained agent's Fingerprint (every weight and
-// BatchNorm statistic) and the per-episode History. The agent runs at
+// bit for bit: the trained agent's Fingerprint (its shape and every
+// weight) and the per-episode History. The agent runs at
 // ζ=16 with a 16-channel tower, so its convolutions use the real
 // training GEMM shapes (16x144x256 forward, 144x16x256 and 16x256x144
 // backward), which are large enough to fan out across cores. Any
@@ -21,7 +21,7 @@ import (
 // register-blocked kernels to them.
 func TestTrainerGoldenFingerprint(t *testing.T) {
 	const (
-		wantFingerprint = uint64(0xb0646b891e6c83a2)
+		wantFingerprint = uint64(0x1f3650c1a78191f1)
 		wantHistory     = uint64(0xfbd01151e91dbbe5)
 	)
 	g := grid.New(geom.NewRect(0, 0, 16, 16), 16)

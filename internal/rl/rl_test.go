@@ -223,6 +223,26 @@ func TestPlayGreedyDeterministic(t *testing.T) {
 	}
 }
 
+// TestPlayGreedyKeepsFingerprint: a greedy episode only evaluates the
+// agent, so the agent's fingerprint, and the salt of an evaluation
+// cache built on it, must be the same before and after. The ECO warm
+// store and CachedEvaluator both rely on that.
+func TestPlayGreedyKeepsFingerprint(t *testing.T) {
+	tr := testTrainer(Config{Episodes: 12, UpdateEvery: 4, CalibrationEpisodes: 4, Seed: 5})
+	tr.Run()
+	ag := tr.Agent
+	fp := ag.Fingerprint()
+	salt := agent.NewCachedEvaluator(ag, 16).Fingerprint()
+	env, wl := testEnv()
+	PlayGreedy(ag, env, wl)
+	if got := ag.Fingerprint(); got != fp {
+		t.Errorf("fingerprint after a greedy episode = %#x, want %#x", got, fp)
+	}
+	if got := agent.NewCachedEvaluator(ag, 16).Fingerprint(); got != salt {
+		t.Errorf("cache salt after a greedy episode = %#x, want %#x", got, salt)
+	}
+}
+
 func TestConfigNormalize(t *testing.T) {
 	c := Config{}.Normalize()
 	if c.Episodes != 300 || c.UpdateEvery != 30 || c.CalibrationEpisodes != 50 || c.Alpha != 0.75 {

@@ -138,8 +138,17 @@ func (d *Server) logf(format string, args ...any) {
 // Submit validates and admits a job. ErrQueueFull and ErrDraining
 // report admission refusals; anything else is a spec error.
 func (d *Server) Submit(spec Spec) (*Job, error) {
+	j, _, err := d.submit(spec)
+	return j, err
+}
+
+// submit is Submit that also returns the job's status as admitted,
+// taken before the job reaches the worker pool. The POST response
+// reports that snapshot, so it always says "queued", however fast a
+// worker picks the job up.
+func (d *Server) submit(spec Spec) (*Job, Status, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 	// Resolve an ECO prior-job reference against the job table now:
 	// a dangling reference is a spec error the client should see at
@@ -148,7 +157,7 @@ func (d *Server) Submit(spec Spec) (*Job, error) {
 	if spec.Eco != nil && spec.Eco.PriorJob != "" {
 		pj, ok := d.Job(spec.Eco.PriorJob)
 		if !ok {
-			return nil, fmt.Errorf("serve: eco prior job %q unknown", spec.Eco.PriorJob)
+			return nil, Status{}, fmt.Errorf("serve: eco prior job %q unknown", spec.Eco.PriorJob)
 		}
 		priorDir = pj.Dir
 	}
@@ -156,7 +165,7 @@ func (d *Server) Submit(spec Spec) (*Job, error) {
 	if d.draining {
 		d.mu.Unlock()
 		obsRejected.Inc()
-		return nil, ErrDraining
+		return nil, Status{}, ErrDraining
 	}
 	d.nextID++
 	id := fmt.Sprintf("job-%06d", d.nextID)
@@ -178,6 +187,7 @@ func (d *Server) Submit(spec Spec) (*Job, error) {
 	// The "queued" event lands before the task is handed to the pool,
 	// so a worker's "running" transition can never precede it.
 	j.AppendEvent("state", string(StateQueued))
+	admitted := j.Status()
 	err := d.sched.Submit(Task{
 		Run: func() { d.runJob(ctx, j) },
 		// The scheduler-level recover is a backstop; runJob recovers
@@ -197,11 +207,11 @@ func (d *Server) Submit(spec Spec) (*Job, error) {
 			}
 		}
 		d.mu.Unlock()
-		return nil, err
+		return nil, Status{}, err
 	}
 	obsSubmitted.Inc()
 	d.logf("job %s admitted (%s)", id, describeSpec(spec))
-	return j, nil
+	return j, admitted, nil
 }
 
 // Job looks up a job by id.

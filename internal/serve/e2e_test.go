@@ -295,15 +295,18 @@ func TestDaemonQueueFull(t *testing.T) {
 		t.Errorf("Retry-After %q, want 3", ra)
 	}
 
-	// Malformed and invalid specs are 400, not enqueued.
-	bad, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{"bench":"nope"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, bad.Body)
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid spec status %d, want 400", bad.StatusCode)
+	// Malformed and invalid specs are 400, not enqueued. So are unknown
+	// fields, such as the removed nn_backend.
+	for _, body := range []string{`{"bench":"nope"}`, `{"bench":"ibm01","nn_backend":"blocked"}`} {
+		bad, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, bad.Body)
+		bad.Body.Close()
+		if bad.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %s: status %d, want 400", body, bad.StatusCode)
+		}
 	}
 
 	close(gate)

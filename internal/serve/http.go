@@ -69,7 +69,7 @@ func (d *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decode spec: "+err.Error())
 		return
 	}
-	j, err := d.Submit(spec)
+	_, admitted, err := d.submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		secs := int(d.cfg.RetryAfter / time.Second)
@@ -83,7 +83,7 @@ func (d *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err.Error())
 	default:
-		writeJSON(w, http.StatusAccepted, j.Status())
+		writeJSON(w, http.StatusAccepted, admitted)
 	}
 }
 

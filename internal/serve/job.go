@@ -19,7 +19,6 @@ import (
 	"macroplace/internal/mcts"
 	"macroplace/internal/netlist"
 	"macroplace/internal/netlist/bookshelf"
-	"macroplace/internal/nn"
 	"macroplace/internal/portfolio"
 )
 
@@ -68,11 +67,6 @@ type Spec struct {
 	Workers   int   `json:"workers,omitempty"`
 	Channels  int   `json:"channels,omitempty"`
 	ResBlocks int   `json:"resblocks,omitempty"`
-
-	// NNBackend selects the inference GEMM backend (internal/nn
-	// registry: blocked, naive, parallel, int8). Empty selects the
-	// default (blocked) backend — bit-identical to the CLIs' default.
-	NNBackend string `json:"nn_backend,omitempty"`
 
 	// Race selects the portfolio-race job class: the named backends
 	// (internal/portfolio registry) run concurrently on the design and
@@ -278,11 +272,6 @@ func (sp Spec) Validate() error {
 	if len(sp.Race) > 16 {
 		return fmt.Errorf("serve: race lists %d backends (max 16)", len(sp.Race))
 	}
-	if sp.NNBackend != "" {
-		if _, err := nn.NewBackend(sp.NNBackend); err != nil {
-			return fmt.Errorf("serve: unknown nn backend %q (have %v)", sp.NNBackend, nn.Backends())
-		}
-	}
 	seen := make(map[string]bool, len(sp.Race))
 	for _, name := range sp.Race {
 		if _, ok := portfolio.Lookup(name); !ok {
@@ -363,7 +352,6 @@ func (sp Spec) Options() core.Options {
 	opts.MCTS.Gamma = sp.Gamma
 	opts.MCTS.Workers = sp.Workers
 	opts.MCTS.FreshRoot = sp.FreshRoot
-	opts.NNBackend = sp.NNBackend
 	opts.Agent = agent.Config{Zeta: sp.Zeta, Channels: sp.Channels, ResBlocks: sp.ResBlocks, Seed: sp.Seed + 100}
 	return opts
 }
@@ -384,7 +372,6 @@ func (sp Spec) PortfolioOptions() portfolio.Options {
 		ResBlocks: sp.ResBlocks,
 		Episodes:  raw.Episodes,
 		Gamma:     raw.Gamma,
-		NNBackend: sp.NNBackend,
 	}
 }
 

@@ -42,6 +42,11 @@ fi
 echo "== go vet"
 go vet ./...
 
+echo "== perfbench vet"
+# perfbench is a nested module, so the root go vet skips it; vet it on
+# its own so an API change that breaks the benchmark build fails here.
+(cd perfbench && go vet ./...)
+
 echo "== go build"
 go build ./...
 
