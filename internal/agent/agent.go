@@ -68,45 +68,40 @@ type Output struct {
 	Value float32
 }
 
-// Agent is the Actor–Critic network. It is not safe for concurrent
-// use; clone per goroutine if needed.
+// Agent is the Actor–Critic network. Forward and Backward are not
+// safe for concurrent use; clone per goroutine if needed.
+// EvaluateBatch, EvaluateBatchInto and EvalState are.
 type Agent struct {
 	Cfg Config
 
 	// trunk
 	conv1 *nn.Conv2D
 	bn1   *nn.BatchNorm2D
-	act1  *nn.ReLU
 	tower []*nn.ResBlock
 
 	// policy head
 	convP *nn.Conv2D
 	bnP   *nn.BatchNorm2D
-	actP  *nn.ReLU
 	fcP   *nn.Linear
 
 	// value head
 	posEmb *nn.Embedding
 	convV  *nn.Conv2D
 	bnV    *nn.BatchNorm2D
-	actV   *nn.ReLU
 	fc1V   *nn.Linear
-	act1V  *nn.ReLU
 	fc2V   *nn.Linear
-	act2V  *nn.ReLU
 	fc3V   *nn.Linear
 
 	params []*nn.Param
 
-	// infPool recycles the inference workspaces of the pure batched
-	// path (see batch.go); the zero value is ready to use.
+	// infPool recycles the workspaces of inference passes (see
+	// batch.go); the zero value is ready to use.
 	infPool sync.Pool
 
-	// forward caches for Backward
-	lastSA     []float32
-	lastProbs  []float32
-	lastVal    float32
-	haveCaches bool
+	// train is the state of the training pass: Forward records it and
+	// Backward consumes it. Nil until the first Forward and after
+	// ReleaseTrainingState.
+	train *trainPass
 }
 
 // New builds an agent with freshly initialised weights.
@@ -117,29 +112,32 @@ func New(cfg Config) *Agent {
 	a := &Agent{Cfg: cfg}
 	a.conv1 = nn.NewConv2D("conv1", 1, c, 3, r)
 	a.bn1 = nn.NewBatchNorm2D("bn1", c)
-	a.act1 = nn.NewReLU()
 	for i := 0; i < cfg.ResBlocks; i++ {
 		a.tower = append(a.tower, nn.NewResBlock(fmt.Sprintf("res%d", i), c, r))
 	}
 	a.convP = nn.NewConv2D("convP", c, 2, 1, r)
 	a.bnP = nn.NewBatchNorm2D("bnP", 2)
-	a.actP = nn.NewReLU()
 	a.fcP = nn.NewLinear("fcP", 2*z*z, z*z, r)
 
 	a.posEmb = nn.NewEmbedding("pos", cfg.MaxSteps, z*z, r)
 	a.convV = nn.NewConv2D("convV", c+2, 1, 1, r)
 	a.bnV = nn.NewBatchNorm2D("bnV", 1)
-	a.actV = nn.NewReLU()
 	a.fc1V = nn.NewLinear("fc1V", z*z, 16, r)
-	a.act1V = nn.NewReLU()
 	a.fc2V = nn.NewLinear("fc2V", 16, z*z, r)
-	a.act2V = nn.NewReLU()
 	a.fc3V = nn.NewLinear("fc3V", z*z, 1, r)
 
-	for _, l := range a.layers() {
-		a.params = append(a.params, l.Params()...)
+	// Checkpoints and Fingerprint depend on this order.
+	a.params = append(a.conv1.Params(), a.bn1.Params()...)
+	for _, rb := range a.tower {
+		a.params = append(a.params, rb.Params()...)
 	}
-	a.params = append(a.params, a.posEmb.Params()...)
+	for _, ps := range [][]*nn.Param{
+		a.convP.Params(), a.bnP.Params(), a.fcP.Params(),
+		a.convV.Params(), a.bnV.Params(), a.fc1V.Params(), a.fc2V.Params(), a.fc3V.Params(),
+		a.posEmb.Params(),
+	} {
+		a.params = append(a.params, ps...)
+	}
 	return a
 }
 
@@ -171,16 +169,6 @@ func (a *Agent) Fingerprint() uint64 {
 	return h
 }
 
-func (a *Agent) layers() []nn.Layer {
-	ls := []nn.Layer{a.conv1, a.bn1, a.act1}
-	for _, rb := range a.tower {
-		ls = append(ls, rb)
-	}
-	ls = append(ls, a.convP, a.bnP, a.actP, a.fcP,
-		a.convV, a.bnV, a.actV, a.fc1V, a.act1V, a.fc2V, a.act2V, a.fc3V)
-	return ls
-}
-
 // Params returns every learnable parameter.
 func (a *Agent) Params() []*nn.Param { return a.params }
 
@@ -203,22 +191,17 @@ func (a *Agent) CopyWeightsFrom(other *Agent) {
 	}
 }
 
-// ReleaseTrainingState drops the gradient buffers and the
-// convolutions' backward caches, which a trained agent that only runs
+// ReleaseTrainingState drops the gradient buffers and the training
+// pass (its workspace and tape), which a trained agent that only runs
 // inference no longer needs. Call it between updates, when the
 // gradients are zero; the next Backward allocates zeroed gradients
-// again, so releasing is invisible to later training.
+// again, so releasing is invisible to later training. A Backward whose
+// Forward came before the release panics.
 func (a *Agent) ReleaseTrainingState() {
 	for _, p := range a.params {
 		p.G = nil
 	}
-	a.conv1.ReleaseCache()
-	for _, rb := range a.tower {
-		rb.Conv1.ReleaseCache()
-		rb.Conv2.ReleaseCache()
-	}
-	a.convP.ReleaseCache()
-	a.convV.ReleaseCache()
+	a.train = nil
 }
 
 // NumParams returns the total scalar parameter count.
@@ -236,64 +219,22 @@ func (a *Agent) NumParams() int {
 // and biases toward roomier ones (the paper multiplies the policy
 // features by s_a before its softmax; the gated form keeps infeasible
 // grids at exactly zero probability).
+//
+// Forward is a training pass: it runs the inference forward at batch
+// 1 on the agent's training workspace and records the tape that the
+// next Backward reads. Its outputs are bit-identical to EvalState's.
 func (a *Agent) Forward(sp, sa []float64, t int) Output {
-	z := a.Cfg.Zeta
-	n := z * z
-	if len(sp) != n || len(sa) != n {
-		panic(fmt.Sprintf("agent: state length %d/%d, want %d", len(sp), len(sa), n))
+	if a.train == nil {
+		a.train = &trainPass{ws: nn.TrainingWorkspace(), tape: tape{blocks: make([]nn.ResActs, len(a.tower))}}
 	}
-	spT := nn.NewTensor(1, z, z)
-	for i, v := range sp {
-		spT.Data[i] = float32(v)
-	}
-	saF := make([]float32, n)
-	for i, v := range sa {
-		saF[i] = float32(v)
-	}
-
-	h := a.conv1.Forward(spT)
-	h = a.bn1.Forward(h)
-	h = a.act1.Forward(h)
-	for _, rb := range a.tower {
-		h = rb.Forward(h)
-	}
-	trunk := h
-
-	// Policy head.
-	hp := a.convP.Forward(trunk)
-	hp = a.bnP.Forward(hp)
-	hp = a.actP.Forward(hp)
-	pFlat := nn.FromSlice(hp.Data, hp.Len())
-	logits := a.fcP.Forward(pFlat)
-	probs := nn.MaskedSoftmax(nil, logits.Data, saF)
-
-	// Value head: concat [trunk, s_p, posEmb(t)] channels.
-	pos := a.posEmb.Lookup(t)
-	comb := nn.NewTensor(a.Cfg.Channels+2, z, z)
-	copy(comb.Data, trunk.Data)
-	copy(comb.Data[a.Cfg.Channels*n:], spT.Data)
-	copy(comb.Data[(a.Cfg.Channels+1)*n:], pos.Data)
-	hv := a.convV.Forward(comb)
-	hv = a.bnV.Forward(hv)
-	hv = a.actV.Forward(hv)
-	vFlat := nn.FromSlice(hv.Data, hv.Len())
-	v := a.fc1V.Forward(vFlat)
-	v = a.act1V.Forward(v)
-	v = a.fc2V.Forward(v)
-	v = a.act2V.Forward(v)
-	v = a.fc3V.Forward(v)
-
-	val := v.Data[0]
-	if math.IsNaN(float64(val)) {
-		val = 0
-	}
-	a.lastSA = saF
-	a.lastProbs = probs
-	a.lastVal = val
-	a.haveCaches = true
-	_ = pFlat
-	_ = vFlat
-	return Output{Probs: probs, Value: val}
+	tr := a.train
+	tr.ws.Reset()
+	tr.live = false
+	in := [1]BatchInput{{SP: sp, SA: sa, T: t}}
+	var out [1]Output
+	a.forward(tr.ws, in[:], out[:], &tr.tape)
+	tr.live = true
+	return out[0]
 }
 
 // Backward accumulates gradients for the combined Actor–Critic loss of
@@ -305,33 +246,36 @@ func (a *Agent) Forward(sp, sa []float64, t int) Output {
 // action is the taken action, advantage is A_t = R_t − v_θ,t (treated
 // as a constant, per Eq. 5), and target is R_t for the value head.
 func (a *Agent) Backward(action int, advantage, target float32, entropyCoef float32) {
-	if !a.haveCaches {
+	tr := a.train
+	if tr == nil || !tr.live {
 		panic("agent: Backward without a preceding Forward")
 	}
-	a.haveCaches = false
+	tr.live = false
 	for _, p := range a.params { // restore gradients after ReleaseTrainingState
 		if p.G == nil {
 			p.G = make([]float32, len(p.W))
 		}
 	}
+	ws, tp := tr.ws, &tr.tape
 	z := a.Cfg.Zeta
 	n := z * z
 
 	// --- Policy head gradient w.r.t. logits.
 	var entropy float32
 	if entropyCoef > 0 {
-		for _, p := range a.lastProbs {
+		for _, p := range tp.probs {
 			if p > 1e-12 {
 				entropy -= p * logf(p)
 			}
 		}
 	}
-	dLogits := nn.NewTensor(n)
+	dLogits := ws.Take(n)
+	clear(dLogits)
 	for i := 0; i < n; i++ {
-		if a.lastSA[i] <= 0 {
+		if tp.sa[i] <= 0 {
 			continue
 		}
-		p := a.lastProbs[i]
+		p := tp.probs[i]
 		g := advantage * p
 		if i == action {
 			g -= advantage
@@ -340,43 +284,35 @@ func (a *Agent) Backward(action int, advantage, target float32, entropyCoef floa
 			// Maximizing H adds −c·dH/dlogit_i = c·p_i(log p_i + H).
 			g += entropyCoef * p * (logf(p) + entropy)
 		}
-		dLogits.Data[i] = g
+		dLogits[i] = g
 	}
-	dpFlat := a.fcP.Backward(dLogits)
-	dhp := nn.FromSlice(dpFlat.Data, 2, z, z)
-	dhp = a.actP.Backward(dhp)
-	dhp = a.bnP.Backward(dhp)
-	dTrunkP := a.convP.Backward(dhp)
+	d := a.fcP.Backward(ws, tp.pin, dLogits, false)
+	d = a.bnP.Backward(ws, tp.cp, d, n, true)
+	dTrunk := a.convP.Backward(ws, tp.trunk, d, z, z)
 
 	// --- Value head gradient: d/dv (R − v)² = 2(v − R).
-	dv := nn.NewTensor(1)
-	dv.Data[0] = 2 * (a.lastVal - target)
-	dvv := a.fc3V.Backward(dv)
-	dvv = a.act2V.Backward(dvv)
-	dvv = a.fc2V.Backward(dvv)
-	dvv = a.act1V.Backward(dvv)
-	dvv = a.fc1V.Backward(dvv)
-	dhv := nn.FromSlice(dvv.Data, 1, z, z)
-	dhv = a.actV.Backward(dhv)
-	dhv = a.bnV.Backward(dhv)
-	dComb := a.convV.Backward(dhv)
+	dv := ws.Take(1)
+	dv[0] = 2 * (tp.value - target)
+	d = a.fc3V.Backward(ws, tp.v2, dv, false)
+	d = a.fc2V.Backward(ws, tp.v1, d, true)
+	d = a.fc1V.Backward(ws, tp.hv, d, true)
+	d = a.bnV.Backward(ws, tp.cv, d, n, true)
+	dComb := a.convV.Backward(ws, tp.comb, d, z, z)
 
-	// Split combined gradient: trunk channels, s_p (input, no grad),
-	// position embedding.
-	dTrunkV := nn.NewTensor(a.Cfg.Channels, z, z)
-	copy(dTrunkV.Data, dComb.Data[:a.Cfg.Channels*n])
-	dPos := nn.FromSlice(dComb.Data[(a.Cfg.Channels+1)*n:], n)
-	a.posEmb.Accumulate(dPos)
+	// Split the combined gradient: trunk channels, s_p (input, no
+	// grad), position embedding.
+	c := a.Cfg.Channels
+	a.posEmb.Backward(tp.t, dComb[(c+1)*n:])
 
 	// --- Trunk: sum of both heads' gradients.
-	dTrunk := dTrunkP
-	dTrunk.AddInPlace(dTrunkV)
-	for i := len(a.tower) - 1; i >= 0; i-- {
-		dTrunk = a.tower[i].Backward(dTrunk)
+	for i, v := range dComb[:c*n] {
+		dTrunk[i] += v
 	}
-	dTrunk = a.act1.Backward(dTrunk)
-	dTrunk = a.bn1.Backward(dTrunk)
-	a.conv1.Backward(dTrunk)
+	for i := len(a.tower) - 1; i >= 0; i-- {
+		dTrunk = a.tower[i].Backward(ws, &tp.blocks[i], dTrunk, z, z)
+	}
+	d = a.bn1.Backward(ws, tp.c1, dTrunk, n, true)
+	a.conv1.Backward(ws, tp.sp, d, z, z)
 }
 
 func logf(x float32) float32 { return float32(math.Log(float64(x))) }

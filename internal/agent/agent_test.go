@@ -323,3 +323,38 @@ func TestReleaseTrainingStateIsInvisible(t *testing.T) {
 		}
 	}
 }
+
+// TestBackwardAfterReleasePanics: releasing the training state drops
+// the tape of the Forward before it, so a Backward that follows fails
+// with the documented message instead of reading released buffers.
+func TestBackwardAfterReleasePanics(t *testing.T) {
+	a := testAgent()
+	sp, sa := randState(rng.New(11), 36, 2)
+	a.Forward(sp, sa, 1)
+	a.ReleaseTrainingState()
+	defer func() {
+		const want = "agent: Backward without a preceding Forward"
+		if got := recover(); got != want {
+			t.Fatalf("panic %v, want %q", got, want)
+		}
+	}()
+	a.Backward(0, 1, 1, 0)
+}
+
+// TestForwardBackwardAllocatesOnlyProbs: a warm training step runs on
+// the agent's training workspace, so a Forward+Backward pair allocates
+// only the Probs slice Forward returns. The shape keeps every product
+// below both fan-out thresholds, whose panel closures allocate.
+func TestForwardBackwardAllocatesOnlyProbs(t *testing.T) {
+	a := New(Config{Zeta: 4, Channels: 6, ResBlocks: 2, MaxSteps: 5, Seed: 13})
+	sp, sa := randState(rng.New(12), 16, 3)
+	step := func() {
+		a.Forward(sp, sa, 2)
+		a.Backward(5, 0.25, 0.5, 0.01)
+	}
+	step() // warm-up: sizes the training workspace
+	step()
+	if allocs := testing.AllocsPerRun(20, step); allocs > 1 {
+		t.Fatalf("warm Forward+Backward allocates %v times, want ≤ 1 (the returned Probs)", allocs)
+	}
+}

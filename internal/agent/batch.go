@@ -14,35 +14,40 @@ type BatchInput struct {
 	T      int
 }
 
-// inferScratch carries the workspace arena of one in-flight inference
-// pass. Scratches are pooled per agent so concurrent EvaluateBatch
-// calls never share an arena, and a warm scratch makes a whole forward
-// pass allocation-free except for the returned Probs slices (which
-// outlive the call: the MCTS tree and the evaluation cache retain
-// them).
-type inferScratch struct {
-	ws nn.Workspace
+// trainPass is the state of one training pass: the workspace that
+// Forward draws every activation from, not reset until the next
+// Forward so Backward can read them, and the tape of those it reads.
+type trainPass struct {
+	ws *nn.Workspace
+	tape
+	live bool // a Forward has run since the last Backward
 }
 
-func (a *Agent) getScratch() *inferScratch {
-	sc, ok := a.infPool.Get().(*inferScratch)
-	if !ok {
-		sc = &inferScratch{}
-	}
-	return sc
+// tape records the slices of a batch-1 forward that Backward reads:
+// each layer's input, the gated softmax and its mask, the value and t.
+type tape struct {
+	t         int
+	sp, c1    []float32    // conv1's input, bn1's input
+	blocks    []nn.ResActs // one per residual block, in tower order
+	trunk, cp []float32    // convP's input, bnP's input
+	pin       []float32    // fcP's input
+	comb, cv  []float32    // convV's input, bnV's input
+	hv, v1    []float32    // fc1V's input, fc2V's input
+	v2        []float32    // fc3V's input
+	sa, probs []float32
+	value     float32
 }
-
-func (a *Agent) putScratch(sc *inferScratch) { a.infPool.Put(sc) }
 
 // EvaluateBatch runs both heads on a batch of states in one pass and
 // returns one Output per input, in order.
 //
-// Unlike Forward it is a pure function of the weights: it touches
-// none of the layer caches that Backward consumes, so it is safe to
-// call concurrently with other EvaluateBatch calls (Forward/Backward
-// must still be externally serialized against it only insofar as they
-// mutate weights — searches never do). Per sample the arithmetic matches Forward operation for
-// operation, so the outputs are bit-identical to evaluating each state
+// Unlike Forward it is a pure function of the weights: it draws from
+// a pooled workspace and records no tape, so it is safe to call
+// concurrently with other EvaluateBatch calls (Forward/Backward must
+// still be externally serialized against it only insofar as they
+// mutate weights — searches never do). It runs the same forward as
+// Forward, and per sample the arithmetic does not depend on the batch
+// size, so the outputs are bit-identical to evaluating each state
 // alone; the whole batch flows through single MatMul calls big enough
 // to fan out across the nn package's worker pool.
 func (a *Agent) EvaluateBatch(in []BatchInput) []Output {
@@ -66,6 +71,23 @@ func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 	if len(out) != batch {
 		panic(fmt.Sprintf("agent: EvaluateBatchInto got %d outputs for %d inputs", len(out), batch))
 	}
+	t0 := time.Now()
+	ws, ok := a.infPool.Get().(*nn.Workspace)
+	if !ok {
+		ws = &nn.Workspace{}
+	}
+	ws.Reset()
+	a.forward(ws, in, out, nil)
+	a.infPool.Put(ws)
+	obsInferLatency.Observe(time.Since(t0).Seconds())
+}
+
+// forward runs both heads on a batch of states, drawing every buffer
+// from ws, and writes one Output per input. A non-nil tp (Forward's
+// training pass, always at batch 1) receives the slices Backward
+// reads.
+func (a *Agent) forward(ws *nn.Workspace, in []BatchInput, out []Output, tp *tape) {
+	batch := len(in)
 	z := a.Cfg.Zeta
 	n := z * z
 	for i := range in {
@@ -74,11 +96,6 @@ func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 				i, len(in[i].SP), len(in[i].SA), n))
 		}
 	}
-	t0 := time.Now()
-	sc := a.getScratch()
-	defer a.putScratch(sc)
-	ws := &sc.ws
-	ws.Reset()
 
 	// s_p as the single input channel, channel-major batch layout.
 	sp := ws.Take(batch * n)
@@ -89,22 +106,26 @@ func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 		}
 	}
 
-	h := a.conv1.ForwardBatchWS(ws, sp, batch, z, z, false)
-	h = a.bn1.ForwardBatchWS(ws, h, batch, n, true)
-	for _, rb := range a.tower {
-		h = rb.ForwardBatchWS(ws, h, batch, z, z)
+	c1 := a.conv1.Forward(ws, sp, batch, z, z)
+	h := a.bn1.Forward(ws, c1, batch, n, true)
+	for i, rb := range a.tower {
+		var acts *nn.ResActs
+		if tp != nil {
+			acts = &tp.blocks[i]
+		}
+		h = rb.Forward(ws, h, batch, z, z, acts)
 	}
 	trunk := h // [Channels, batch, n]
 
 	// Policy head.
-	hp := a.convP.ForwardBatchWS(ws, trunk, batch, z, z, false)
-	hp = a.bnP.ForwardBatchWS(ws, hp, batch, n, true)
+	cp := a.convP.Forward(ws, trunk, batch, z, z)
+	hp := a.bnP.Forward(ws, cp, batch, n, true)
 	pin := ws.Take(2 * n)
 	logits := ws.Take(n)
 	saF := ws.Take(n)
 	for b := range in {
-		// Gather sample b out of the channel-major layout: the flatten
-		// order (channel 0 then channel 1) matches Forward's.
+		// Gather sample b out of the channel-major layout: channel 0
+		// then channel 1.
 		copy(pin[:n], hp[b*n:(b+1)*n])
 		copy(pin[n:], hp[(batch+b)*n:(batch+b+1)*n])
 		a.fcP.ApplyInto(logits, pin, false)
@@ -122,8 +143,8 @@ func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 	for b := range in {
 		copy(comb[(c+1)*batch*n+b*n:], a.posEmb.At(in[b].T))
 	}
-	hv := a.convV.ForwardBatchWS(ws, comb, batch, z, z, false)
-	hv = a.bnV.ForwardBatchWS(ws, hv, batch, n, true)
+	cv := a.convV.Forward(ws, comb, batch, z, z)
+	hv := a.bnV.Forward(ws, cv, batch, n, true)
 	v1 := ws.Take(16)
 	v2 := ws.Take(n)
 	v3 := ws.Take(1)
@@ -137,14 +158,22 @@ func (a *Agent) EvaluateBatchInto(in []BatchInput, out []Output) {
 		}
 		out[b].Value = val
 	}
-	obsInferLatency.Observe(time.Since(t0).Seconds())
+
+	if tp != nil {
+		*tp = tape{
+			t: in[0].T, sp: sp, c1: c1, blocks: tp.blocks,
+			trunk: trunk, cp: cp, pin: pin,
+			comb: comb, cv: cv, hv: hv, v1: v1, v2: v2,
+			sa: saF, probs: out[0].Probs, value: out[0].Value,
+		}
+	}
 }
 
-// EvalState runs both heads on a single state through the pure batched
-// kernels: the inference-path counterpart of Forward. The result is
-// bit-identical to Forward's (the batch kernels pin that per sample)
-// but it records no backward caches and — warm scratch arena aside —
-// allocates only the returned Probs slice. Safe for concurrent use.
+// EvalState runs both heads on a single state through the pure
+// inference pass: the counterpart of Forward that records no tape. The
+// result is bit-identical to Forward's and — warm pooled workspace
+// aside — allocates only the returned Probs slice. Safe for concurrent
+// use.
 func (a *Agent) EvalState(sp, sa []float64, t int) Output {
 	in := [1]BatchInput{{SP: sp, SA: sa, T: t}}
 	var out [1]Output

@@ -28,9 +28,10 @@ func batchStates(n, cells int) []BatchInput {
 }
 
 // TestEvaluateBatchMatchesForward: each batched output must be
-// bit-identical to a sequential Forward of that state alone. This is
-// the contract the parallel MCTS determinism story rests on: batching
-// may regroup work but never change a single result.
+// bit-identical to Forward, the batch-1 training pass, on that state
+// alone. This is the contract the parallel MCTS determinism story
+// rests on: batching may regroup work but never change a single
+// result.
 func TestEvaluateBatchMatchesForward(t *testing.T) {
 	ag := batchTestAgent()
 	cells := ag.Cfg.Zeta * ag.Cfg.Zeta
@@ -55,9 +56,8 @@ func TestEvaluateBatchMatchesForward(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchIsPure: the batched path must leave the stateful
-// training machinery untouched — Forward results before and after are
-// identical.
+// TestEvaluateBatchIsPure: the batched path must leave the training
+// pass untouched — Forward results before and after are identical.
 func TestEvaluateBatchIsPure(t *testing.T) {
 	ag := batchTestAgent()
 	cells := ag.Cfg.Zeta * ag.Cfg.Zeta

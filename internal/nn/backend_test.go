@@ -151,29 +151,36 @@ func TestParallelBackendPanicPropagates(t *testing.T) {
 	requireExact(t, "parallel after panic", [3]int{m, k, n}, got, want)
 }
 
-// TestWorkspaceBackendRouting: a nil workspace and a real one both run
-// the plain MatMulBias kernel.
+// TestWorkspaceBackendRouting: a convolution runs the plain
+// MatMulBias kernel on a nil, an inference and a training workspace;
+// only the fan-out threshold differs, so a product that fans out on
+// the training workspace alone gives the same bits on all three.
 func TestWorkspaceBackendRouting(t *testing.T) {
+	forcePoolWorkers(t, 3)
+	if (*Workspace)(nil).fanOutWork() != inferFanOutWork ||
+		(&Workspace{}).fanOutWork() != inferFanOutWork ||
+		TrainingWorkspace().fanOutWork() != trainFanOutWork {
+		t.Fatal("workspace fan-out thresholds are not inference, inference, training")
+	}
+	const cin, cout, h, w = 16, 16, 16, 16 // 16x144x256: the tower product
+	requireFansOut(t, [3]int{cout, cin * 9, h * w}, trainFanOutWork)
+	if fanOutPool(cout, cout*cin*9*h*w, inferFanOutWork) != nil {
+		t.Fatal("tower product fans out at the inference threshold")
+	}
 	r := rng.New(11)
-	m, k, n := 5, 13, 9
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	bias := make([]float32, m)
-	fillNorm(r, a)
-	fillNorm(r, b)
-	fillNorm(r, bias)
-	want := make([]float32, m*n)
-	MatMulBias(want, a, b, bias, m, k, n, true)
+	conv := NewConv2D("c", cin, cout, 3, r)
+	fillNorm(r, conv.Bias.W)
+	x := make([]float32, cin*h*w)
+	fillWithZeros(r, x)
+	cols := make([]float32, cin*9*h*w)
+	im2colBatch(cols, x, cin, 1, h, w, 3, 1)
+	want := make([]float32, cout*h*w)
+	MatMulBias(want, conv.Weight.W, cols, conv.Bias.W, cout, cin*9, h*w, false)
 
-	var nilWS *Workspace
-	got := make([]float32, m*n)
-	nilWS.MatMulBias(got, a, b, bias, m, k, n, true)
-	requireExact(t, "nil workspace", [3]int{m, k, n}, got, want)
-
-	ws := &Workspace{}
-	clearF32(got)
-	ws.MatMulBias(got, a, b, bias, m, k, n, true)
-	requireExact(t, "workspace", [3]int{m, k, n}, got, want)
+	sh := [3]int{cout, cin * 9, h * w}
+	requireExact(t, "nil workspace", sh, conv.Forward(nil, x, 1, h, w), want)
+	requireExact(t, "inference workspace", sh, conv.Forward(&Workspace{}, x, 1, h, w), want)
+	requireExact(t, "training workspace", sh, conv.Forward(TrainingWorkspace(), x, 1, h, w), want)
 }
 
 func clearF32(s []float32) {

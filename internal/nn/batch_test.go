@@ -14,7 +14,7 @@ func fillPattern(x []float32, seed int) {
 }
 
 // gatherSample extracts sample b of a channel-major [C, B, hw] batch
-// into the sequential [C, hw] layout.
+// into a batch-1 [C, hw] map.
 func gatherSample(x []float32, c, batch, hw, b int) []float32 {
 	out := make([]float32, c*hw)
 	for ci := 0; ci < c; ci++ {
@@ -32,7 +32,7 @@ func scatterSample(dst, x []float32, c, batch, hw, b int) {
 }
 
 // TestConv2DForwardBatchMatchesSequential: every sample of a batched
-// convolution must equal the sequential Forward on that sample alone,
+// convolution must equal the batch-1 Forward on that sample alone,
 // bit for bit (the parallel-MCTS determinism contract).
 func TestConv2DForwardBatchMatchesSequential(t *testing.T) {
 	const cin, cout, k, h, w, batch = 3, 5, 3, 6, 6, 4
@@ -41,10 +41,9 @@ func TestConv2DForwardBatchMatchesSequential(t *testing.T) {
 	xb := make([]float32, cin*batch*hw)
 	fillPattern(xb, 3)
 
-	got := conv.ForwardBatchWS(nil, xb, batch, h, w, false)
+	got := conv.Forward(nil, xb, batch, h, w)
 	for b := 0; b < batch; b++ {
-		xs := gatherSample(xb, cin, batch, hw, b)
-		want := conv.Forward(FromSlice(xs, cin, h, w)).Data
+		want := conv.Forward(nil, gatherSample(xb, cin, batch, hw, b), 1, h, w)
 		gb := gatherSample(got, cout, batch, hw, b)
 		for i := range want {
 			if gb[i] != want[i] {
@@ -65,8 +64,8 @@ func TestBatchNormForwardBatchMatchesSequential(t *testing.T) {
 	xb := make([]float32, c*batch*hw)
 	fillPattern(xb, 5)
 
-	got := bn.ForwardBatchWS(nil, xb, batch, hw, false)
-	fused := bn.ForwardBatchWS(nil, xb, batch, hw, true)
+	got := bn.Forward(nil, xb, batch, hw, false)
+	fused := bn.Forward(nil, xb, batch, hw, true)
 	// The fused ReLU is max(0, ·) of the identical normalised value.
 	for i, v := range got {
 		if want := max(v, 0); fused[i] != want {
@@ -75,8 +74,7 @@ func TestBatchNormForwardBatchMatchesSequential(t *testing.T) {
 	}
 
 	for b := 0; b < batch; b++ {
-		xs := gatherSample(xb, c, batch, hw, b)
-		want := bn.Forward(FromSlice(xs, c, 5, 5)).Data
+		want := bn.Forward(nil, gatherSample(xb, c, batch, hw, b), 1, hw, false)
 		gb := gatherSample(got, c, batch, hw, b)
 		for i := range want {
 			if gb[i] != want[i] {
@@ -92,10 +90,9 @@ func TestResBlockForwardBatchMatchesSequential(t *testing.T) {
 	rb := NewResBlock("r", c, rng.New(2))
 	xb := make([]float32, c*batch*hw)
 	fillPattern(xb, 7)
-	got := rb.ForwardBatchWS(nil, xb, batch, h, w)
+	got := rb.Forward(nil, xb, batch, h, w, nil)
 	for b := 0; b < batch; b++ {
-		xs := gatherSample(xb, c, batch, hw, b)
-		want := rb.Forward(FromSlice(xs, c, h, w)).Data
+		want := rb.Forward(nil, gatherSample(xb, c, batch, hw, b), 1, h, w, nil)
 		gb := gatherSample(got, c, batch, hw, b)
 		for i := range want {
 			if gb[i] != want[i] {
@@ -105,17 +102,27 @@ func TestResBlockForwardBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestLinearApplyMatchesForward: ApplyInto is b + Σ W·x summed in
+// input order, and its fused ReLU is max(0, ·) of that sum.
 func TestLinearApplyMatchesForward(t *testing.T) {
 	const in, out = 7, 3
 	l := NewLinear("l", in, out, rng.New(3))
+	fillPattern(l.Bias.W, 2)
 	x := make([]float32, in)
 	fillPattern(x, 9)
-	want := l.Forward(FromSlice(x, in)).Data
+	want := make([]float32, out)
+	for o := range want {
+		s := l.Bias.W[o]
+		for i, v := range x {
+			s += l.Weight.W[o*in+i] * v
+		}
+		want[o] = s
+	}
 	got := l.ApplyInto(make([]float32, out), x, false)
 	fused := l.ApplyInto(make([]float32, out), x, true)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("elem %d: ApplyInto %v != Forward %v", i, got[i], want[i])
+			t.Fatalf("elem %d: ApplyInto %v != %v", i, got[i], want[i])
 		}
 		if fused[i] != max(want[i], 0) {
 			t.Fatalf("elem %d: fused ReLU %v != max(0, %v)", i, fused[i], want[i])
@@ -123,14 +130,20 @@ func TestLinearApplyMatchesForward(t *testing.T) {
 	}
 }
 
+// TestEmbeddingAtClampsAndMatchesLookup: At returns the table row of
+// the id, with ids below 0 reading row 0 and ids past the end the last
+// row.
 func TestEmbeddingAtClampsAndMatchesLookup(t *testing.T) {
 	e := NewEmbedding("e", 4, 6, rng.New(4))
-	for _, id := range []int{-2, 0, 3, 9} {
-		want := e.Lookup(id).Data
-		got := e.At(id)
+	for _, tc := range []struct{ id, row int }{{-2, 0}, {0, 0}, {3, 3}, {9, 3}} {
+		want := e.Weight.W[tc.row*6 : (tc.row+1)*6]
+		got := e.At(tc.id)
+		if len(got) != len(want) {
+			t.Fatalf("id %d: len %d, want %d", tc.id, len(got), len(want))
+		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("id %d elem %d: At %v != Lookup %v", id, i, got[i], want[i])
+				t.Fatalf("id %d elem %d: At %v != row %d's %v", tc.id, i, got[i], tc.row, want[i])
 			}
 		}
 	}

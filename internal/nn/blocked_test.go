@@ -159,24 +159,43 @@ func TestWorkspaceVariantsBitIdenticalToAllocating(t *testing.T) {
 	x := make([]float32, cin*batch*hw)
 	fillNorm(r, x)
 
+	dy := make([]float32, cout*hw)
+	fillNorm(r, dy)
+	dl := make([]float32, 7)
+	fillNorm(r, dl)
+
 	var ws Workspace
 	for pass := 0; pass < 3; pass++ { // pass 0 warms the arena
 		ws.Reset()
-		co := conv.ForwardBatchWS(&ws, x, batch, h, w, false)
-		requireExact(t, "Conv2D.ForwardBatchWS", [3]int{pass, 0, 0},
-			co, conv.ForwardBatchWS(nil, x, batch, h, w, false))
+		co := conv.Forward(&ws, x, batch, h, w)
+		requireExact(t, "Conv2D.Forward", [3]int{pass, 0, 0},
+			co, conv.Forward(nil, x, batch, h, w))
 
-		bo := bn.ForwardBatchWS(&ws, co, batch, hw, true)
-		requireExact(t, "BatchNorm2D.ForwardBatchWS+ReLU", [3]int{pass, 0, 0},
-			bo, bn.ForwardBatchWS(nil, co, batch, hw, true))
+		bo := bn.Forward(&ws, co, batch, hw, true)
+		requireExact(t, "BatchNorm2D.Forward+ReLU", [3]int{pass, 0, 0},
+			bo, bn.Forward(nil, co, batch, hw, true))
 
-		ro := rb.ForwardBatchWS(&ws, bo, batch, h, w)
-		requireExact(t, "ResBlock.ForwardBatchWS", [3]int{pass, 0, 0},
-			ro, rb.ForwardBatchWS(nil, bo, batch, h, w))
+		ro := rb.Forward(&ws, bo, batch, h, w, nil)
+		requireExact(t, "ResBlock.Forward", [3]int{pass, 0, 0},
+			ro, rb.Forward(nil, bo, batch, h, w, nil))
 
 		li := lin.ApplyInto(ws.Take(7), ro[:hw], true)
 		requireExact(t, "Linear.ApplyInto+ReLU", [3]int{pass, 0, 0},
 			li, lin.ApplyInto(make([]float32, 7), ro[:hw], true))
+
+		// The backwards at batch 1 write every element of d(x) on a
+		// recycled arena too.
+		x1, c1 := x[:cin*hw], co[:cout*hw]
+		requireExact(t, "Conv2D.Backward", [3]int{pass, 0, 0},
+			conv.Backward(&ws, x1, dy, h, w), conv.Backward(nil, x1, dy, h, w))
+		requireExact(t, "BatchNorm2D.Backward+ReLU", [3]int{pass, 0, 0},
+			bn.Backward(&ws, c1, dy, hw, true), bn.Backward(nil, c1, dy, hw, true))
+		requireExact(t, "Linear.Backward+ReLU", [3]int{pass, 0, 0},
+			lin.Backward(&ws, ro[:hw], dl, true), lin.Backward(nil, ro[:hw], dl, true))
+		var acts ResActs
+		rb.Forward(&ws, c1, 1, h, w, &acts)
+		requireExact(t, "ResBlock.Backward", [3]int{pass, 0, 0},
+			rb.Backward(&ws, &acts, dy, h, w), rb.Backward(nil, &acts, dy, h, w))
 	}
 }
 
@@ -189,10 +208,10 @@ func TestWorkspaceZeroAllocationsAfterWarmup(t *testing.T) {
 
 	var ws Workspace
 	ws.Reset()
-	conv.ForwardBatchWS(&ws, x, batch, h, w, true) // warm-up pass
+	conv.Forward(&ws, x, batch, h, w) // warm-up pass
 	allocs := testing.AllocsPerRun(20, func() {
 		ws.Reset()
-		conv.ForwardBatchWS(&ws, x, batch, h, w, true)
+		conv.Forward(&ws, x, batch, h, w)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm workspace pass allocates %v times, want 0", allocs)

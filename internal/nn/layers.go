@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"macroplace/internal/rng"
@@ -17,10 +16,6 @@ type Conv2D struct {
 	Pad          int
 	Weight       *Param // [Cout][Cin*K*K]
 	Bias         *Param // [Cout]
-
-	// cached for backward
-	h, w int
-	cols []float32 // [Cin*K*K][H*W]
 }
 
 // NewConv2D builds a K×K convolution with same padding (pad = K/2).
@@ -34,96 +29,92 @@ func NewConv2D(name string, cin, cout, k int, r *rng.RNG) *Conv2D {
 	return c
 }
 
-// Params implements Layer.
+// Params returns the kernel and the bias.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-// Forward implements Layer. Input must be [Cin, H, W].
-func (c *Conv2D) Forward(x *Tensor) *Tensor {
-	if len(x.Shape) != 3 || x.Shape[0] != c.Cin {
-		panic(fmt.Sprintf("nn: Conv2D expects [%d,H,W], got %v", c.Cin, x.Shape))
-	}
-	h, w := x.Shape[1], x.Shape[2]
-	c.h, c.w = h, w
-	ck := c.Cin * c.K * c.K
+// Forward applies the convolution to a batch of [Cin, H, W] feature
+// maps in channel-major batch layout and returns the [Cout, B, H*W]
+// output, with the im2col and output buffers drawn from ws.
+func (c *Conv2D) Forward(ws *Workspace, x []float32, batch, h, w int) []float32 {
 	hw := h * w
-	if cap(c.cols) < ck*hw {
-		c.cols = make([]float32, ck*hw)
+	if len(x) < c.Cin*batch*hw {
+		panic("nn: Conv2D.Forward input too small")
 	}
-	cols := c.cols[:ck*hw]
-	im2col(cols, x.Data, c.Cin, h, w, c.K, c.Pad)
+	ck := c.Cin * c.K * c.K
+	cols := ws.Take(ck * batch * hw)
+	im2colBatch(cols, x, c.Cin, batch, h, w, c.K, c.Pad)
 
-	out := NewTensor(c.Cout, h, w)
-	matMulBias(out.Data, c.Weight.W, cols, c.Bias.W, c.Cout, ck, hw, false, trainFanOutWork)
+	out := ws.Take(c.Cout * batch * hw)
+	matMulBias(out, c.Weight.W, cols, c.Bias.W, c.Cout, ck, batch*hw, false, ws.fanOutWork())
 	return out
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(dy *Tensor) *Tensor {
-	h, w := c.h, c.w
+// Backward takes one sample's forward input x [Cin, H, W] and d(out)
+// dy [Cout, H, W], accumulates dW and db, and returns d(x) drawn from
+// ws. It rebuilds the im2col columns of x rather than keeping them.
+func (c *Conv2D) Backward(ws *Workspace, x, dy []float32, h, w int) []float32 {
 	ck := c.Cin * c.K * c.K
 	hw := h * w
-	cols := c.cols[:ck*hw]
+	cols := ws.Take(ck * hw)
+	im2colBatch(cols, x, c.Cin, 1, h, w, c.K, c.Pad)
 
 	// dW += dy · colsᵀ ; db += Σ dy
-	MatMulABTAcc(c.Weight.G, dy.Data, cols, c.Cout, hw, ck)
+	MatMulABTAcc(c.Weight.G, dy, cols, c.Cout, hw, ck)
 	for co := 0; co < c.Cout; co++ {
 		var s float32
-		row := dy.Data[co*hw : (co+1)*hw]
-		for _, v := range row {
+		for _, v := range dy[co*hw : (co+1)*hw] {
 			s += v
 		}
 		c.Bias.G[co] += s
 	}
 
 	// dcols = Wᵀ · dy ; dx = col2im(dcols)
-	dcols := make([]float32, ck*hw)
-	MatMulATB(dcols, c.Weight.W, dy.Data, ck, c.Cout, hw)
-	dx := NewTensor(c.Cin, h, w)
-	col2im(dx.Data, dcols, c.Cin, h, w, c.K, c.Pad)
+	dcols := ws.Take(ck * hw)
+	MatMulATB(dcols, c.Weight.W, dy, ck, c.Cout, hw)
+	dx := ws.Take(c.Cin * hw)
+	clear(dx)
+	col2im(dx, dcols, c.Cin, h, w, c.K, c.Pad)
 	return dx
 }
 
-// ReleaseCache drops the im2col buffer kept for Backward; the next
-// Forward allocates a new one.
-func (c *Conv2D) ReleaseCache() { c.cols = nil }
-
-// im2col lowers x[Cin,H,W] into cols[Cin*K*K, H*W] for stride-1
-// convolution with the given padding.
-func im2col(cols, x []float32, cin, h, w, k, pad int) {
+// im2colBatch lowers a channel-major batch [Cin, B, H*W] into
+// cols[Cin*K*K, B*H*W] for stride-1 convolution with the given
+// padding: sample b of row r occupies columns [b*hw, (b+1)*hw), so the
+// per-sample columns are exactly the ones the batch-1 call produces
+// for that sample alone.
+func im2colBatch(cols, x []float32, cin, batch, h, w, k, pad int) {
 	hw := h * w
+	bhw := batch * hw
 	row := 0
 	for ci := 0; ci < cin; ci++ {
-		xc := x[ci*hw : (ci+1)*hw]
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				dst := cols[row*hw : (row+1)*hw]
-				row++
-				for oy := 0; oy < h; oy++ {
-					iy := oy + ky - pad
-					base := oy * w
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < w; ox++ {
-							dst[base+ox] = 0
+				// Output columns [lo, hi) read input columns shifted by
+				// kx−pad; the others fall in the padding.
+				lo, hi := max(0, pad-kx), min(w, w+pad-kx)
+				for b := 0; b < batch; b++ {
+					xc := x[(ci*batch+b)*hw : (ci*batch+b+1)*hw]
+					dst := cols[row*bhw+b*hw : row*bhw+(b+1)*hw]
+					for oy := 0; oy < h; oy++ {
+						d := dst[oy*w : (oy+1)*w]
+						iy := oy + ky - pad
+						if iy < 0 || iy >= h || lo >= hi {
+							clear(d)
+							continue
 						}
-						continue
-					}
-					ib := iy * w
-					for ox := 0; ox < w; ox++ {
-						ix := ox + kx - pad
-						if ix < 0 || ix >= w {
-							dst[base+ox] = 0
-						} else {
-							dst[base+ox] = xc[ib+ix]
-						}
+						clear(d[:lo])
+						copy(d[lo:hi], xc[iy*w+lo+kx-pad:])
+						clear(d[hi:])
 					}
 				}
+				row++
 			}
 		}
 	}
 }
 
-// col2im is the adjoint of im2col: it scatters column gradients back
-// into the input gradient.
+// col2im is the adjoint of im2colBatch at batch 1: it scatters one
+// sample's column gradients back into its input gradient.
 func col2im(dx, dcols []float32, cin, h, w, k, pad int) {
 	hw := h * w
 	row := 0
@@ -155,21 +146,15 @@ func col2im(dx, dcols []float32, cin, h, w, k, pad int) {
 // ---------------------------------------------------------------------------
 // BatchNorm2D
 
-// BatchNorm2D normalises each channel over its spatial extent (the
-// batch dimension is 1 throughout this codebase, so statistics come
-// from the H×W samples of the channel). Training and inference use the
-// same per-sample statistics, so the layer's only state is Gamma and
-// Beta; it keeps no running statistics.
+// BatchNorm2D normalises each channel of each sample over its spatial
+// extent (H×W). Training and inference use the same per-sample
+// statistics, so the layer's only state is Gamma and Beta; it keeps no
+// running statistics.
 type BatchNorm2D struct {
 	C   int
 	Eps float32
 
 	Gamma, Beta *Param
-
-	// cached for backward
-	xhat   []float32
-	invStd []float32
-	h, w   int
 }
 
 // NewBatchNorm2D builds a BatchNorm over c channels.
@@ -183,113 +168,85 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	return bn
 }
 
-// Params implements Layer.
+// Params returns the scale and the shift.
 func (bn *BatchNorm2D) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 
-// Forward implements Layer.
-func (bn *BatchNorm2D) Forward(x *Tensor) *Tensor {
-	if len(x.Shape) != 3 || x.Shape[0] != bn.C {
-		panic(fmt.Sprintf("nn: BatchNorm2D expects [%d,H,W], got %v", bn.C, x.Shape))
+// stats returns the mean and 1/σ of one channel of one sample. Forward
+// and Backward both call it, so Backward's x̂ = (v−mean)·inv is the
+// forward's to the bit.
+func (bn *BatchNorm2D) stats(xc []float32) (mean, inv float32) {
+	n := float32(len(xc))
+	var varv float32
+	for _, v := range xc {
+		mean += v
 	}
-	h, w := x.Shape[1], x.Shape[2]
-	bn.h, bn.w = h, w
-	hw := h * w
-	if cap(bn.xhat) < bn.C*hw {
-		bn.xhat = make([]float32, bn.C*hw)
-		bn.invStd = make([]float32, bn.C)
+	mean /= n
+	for _, v := range xc {
+		d := v - mean
+		varv += d * d
 	}
-	bn.xhat = bn.xhat[:bn.C*hw]
-	out := NewTensor(bn.C, h, w)
-	n := float32(hw)
+	varv /= n
+	return mean, 1 / float32(math.Sqrt(float64(varv+bn.Eps)))
+}
+
+// Forward normalises a channel-major batch, drawing the output from
+// ws. relu fuses max(0, ·) of the identical normalised value,
+// bit-identical to a separate rectifying sweep.
+func (bn *BatchNorm2D) Forward(ws *Workspace, x []float32, batch, hw int, relu bool) []float32 {
+	if len(x) < bn.C*batch*hw {
+		panic("nn: BatchNorm2D.Forward input too small")
+	}
+	out := ws.Take(bn.C * batch * hw)
 	for c := 0; c < bn.C; c++ {
-		xc := x.Data[c*hw : (c+1)*hw]
-		var mean, varv float32
-		for _, v := range xc {
-			mean += v
-		}
-		mean /= n
-		for _, v := range xc {
-			d := v - mean
-			varv += d * d
-		}
-		varv /= n
-		inv := 1 / float32(math.Sqrt(float64(varv+bn.Eps)))
-		bn.invStd[c] = inv
 		g, b := bn.Gamma.W[c], bn.Beta.W[c]
-		xh := bn.xhat[c*hw : (c+1)*hw]
-		oc := out.Data[c*hw : (c+1)*hw]
-		for i, v := range xc {
-			xh[i] = (v - mean) * inv
-			oc[i] = g*xh[i] + b
+		for s := 0; s < batch; s++ {
+			xc := x[(c*batch+s)*hw : (c*batch+s+1)*hw]
+			mean, inv := bn.stats(xc)
+			oc := out[(c*batch+s)*hw : (c*batch+s+1)*hw]
+			for i, v := range xc {
+				// g·x̂ + b with x̂ = (v−mean)·inv, the association
+				// Backward recomputes: float multiplication is not
+				// associative and the contract is bit-identity.
+				o := g*((v-mean)*inv) + b
+				if relu && o < 0 {
+					o = 0
+				}
+				oc[i] = o
+			}
 		}
 	}
 	return out
 }
 
-// Backward implements Layer.
-func (bn *BatchNorm2D) Backward(dy *Tensor) *Tensor {
-	h, w := bn.h, bn.w
-	hw := h * w
+// Backward takes one sample's forward input x [C, hw] and d(out) dy,
+// accumulates dγ and dβ, and returns d(x) drawn from ws. With relu, dy
+// is the gradient of the rectified output: it passes where the
+// recomputed pre-activation is not negative (a pre-activation of
+// exactly 0 passes) and is 0 elsewhere.
+func (bn *BatchNorm2D) Backward(ws *Workspace, x, dy []float32, hw int, relu bool) []float32 {
 	n := float32(hw)
-	dx := NewTensor(bn.C, h, w)
+	dx := ws.Take(bn.C * hw)
 	for c := 0; c < bn.C; c++ {
-		dyc := dy.Data[c*hw : (c+1)*hw]
-		xh := bn.xhat[c*hw : (c+1)*hw]
+		xc := x[c*hw : (c+1)*hw]
+		dxc := dx[c*hw : (c+1)*hw]
+		g, b := bn.Gamma.W[c], bn.Beta.W[c]
+		mean, inv := bn.stats(xc)
 		var sumDy, sumDyXh float32
-		for i := range dyc {
-			sumDy += dyc[i]
-			sumDyXh += dyc[i] * xh[i]
+		for i, v := range xc {
+			xh := (v - mean) * inv
+			d := dy[c*hw+i]
+			if relu && g*xh+b < 0 {
+				d = 0
+			}
+			dxc[i] = d
+			sumDy += d
+			sumDyXh += d * xh
 		}
 		bn.Beta.G[c] += sumDy
 		bn.Gamma.G[c] += sumDyXh
-		g := bn.Gamma.W[c]
-		inv := bn.invStd[c]
-		dxc := dx.Data[c*hw : (c+1)*hw]
-		for i := range dyc {
-			dxc[i] = g * inv * (dyc[i] - sumDy/n - xh[i]*sumDyXh/n)
-		}
-	}
-	return dx
-}
-
-// ---------------------------------------------------------------------------
-// ReLU
-
-// ReLU is an elementwise rectifier.
-type ReLU struct {
-	mask []bool
-}
-
-// NewReLU returns a ReLU layer.
-func NewReLU() *ReLU { return &ReLU{} }
-
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x *Tensor) *Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(x.Data) {
-		r.mask = make([]bool, len(x.Data))
-	}
-	r.mask = r.mask[:len(x.Data)]
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(dy *Tensor) *Tensor {
-	dx := dy.Clone()
-	for i := range dx.Data {
-		if !r.mask[i] {
-			dx.Data[i] = 0
+		for i, v := range xc {
+			xh := (v - mean) * inv
+			dxc[i] = g * inv * (dxc[i] - sumDy/n - xh*sumDyXh/n)
 		}
 	}
 	return dx
@@ -303,8 +260,6 @@ type Linear struct {
 	In, Out int
 	Weight  *Param // [Out][In]
 	Bias    *Param // [Out]
-
-	x []float32 // cached input
 }
 
 // NewLinear builds a fully-connected layer.
@@ -318,36 +273,49 @@ func NewLinear(name string, in, out int, r *rng.RNG) *Linear {
 	return l
 }
 
-// Params implements Layer.
+// Params returns the weight matrix and the bias.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// Forward implements Layer; any input shape with In elements works.
-func (l *Linear) Forward(x *Tensor) *Tensor {
-	if x.Len() != l.In {
-		panic(fmt.Sprintf("nn: Linear expects %d inputs, got %d", l.In, x.Len()))
+// ApplyInto computes W·x + b into dst (length l.Out) for one sample.
+// An optional fused ReLU on each output takes max(0, ·) of the
+// identical sum, so the fusion is bit-invisible. Returns dst.
+func (l *Linear) ApplyInto(dst, x []float32, relu bool) []float32 {
+	if len(x) != l.In {
+		panic("nn: Linear.ApplyInto input length mismatch")
 	}
-	if cap(l.x) < l.In {
-		l.x = make([]float32, l.In)
+	if len(dst) != l.Out {
+		panic("nn: Linear.ApplyInto dst length mismatch")
 	}
-	l.x = l.x[:l.In]
-	copy(l.x, x.Data)
-	out := NewTensor(l.Out)
 	for o := 0; o < l.Out; o++ {
 		row := l.Weight.W[o*l.In : (o+1)*l.In]
 		s := l.Bias.W[o]
-		for i, v := range x.Data {
+		for i, v := range x {
 			s += row[i] * v
 		}
-		out.Data[o] = s
+		if relu && s < 0 {
+			s = 0
+		}
+		dst[o] = s
 	}
-	return out
+	return dst
 }
 
-// Backward implements Layer.
-func (l *Linear) Backward(dy *Tensor) *Tensor {
-	dx := NewTensor(l.In)
+// Backward takes the forward input x and d(out) dy, accumulates dW
+// and db, and returns d(x) drawn from ws. With relu, dy is the
+// gradient of the rectified output, masked by the sign of the
+// recomputed pre-activation as in BatchNorm2D.Backward.
+func (l *Linear) Backward(ws *Workspace, x, dy []float32, relu bool) []float32 {
+	var pre []float32
+	if relu {
+		pre = l.ApplyInto(ws.Take(l.Out), x, false)
+	}
+	dx := ws.Take(l.In)
+	clear(dx)
 	for o := 0; o < l.Out; o++ {
-		g := dy.Data[o]
+		g := dy[o]
+		if relu && pre[o] < 0 {
+			g = 0
+		}
 		l.Bias.G[o] += g
 		if g == 0 {
 			continue
@@ -355,8 +323,8 @@ func (l *Linear) Backward(dy *Tensor) *Tensor {
 		wrow := l.Weight.W[o*l.In : (o+1)*l.In]
 		grow := l.Weight.G[o*l.In : (o+1)*l.In]
 		for i := 0; i < l.In; i++ {
-			grow[i] += g * l.x[i]
-			dx.Data[i] += g * wrow[i]
+			grow[i] += g * x[i]
+			dx[i] += g * wrow[i]
 		}
 	}
 	return dx
@@ -366,11 +334,11 @@ func (l *Linear) Backward(dy *Tensor) *Tensor {
 // Embedding
 
 // Embedding maps an integer id to a learnable D-vector; the paper uses
-// it as the position embedding of the sequence number t.
+// it as the position embedding of the sequence number t. Ids outside
+// [0, N) clamp to the first or last row.
 type Embedding struct {
 	N, D   int
 	Weight *Param // [N][D]
-	last   int
 }
 
 // NewEmbedding builds an embedding table with n rows of d dims.
@@ -383,25 +351,21 @@ func NewEmbedding(name string, n, d int, r *rng.RNG) *Embedding {
 // Params returns the learnable table.
 func (e *Embedding) Params() []*Param { return []*Param{e.Weight} }
 
-// Lookup returns row id as a tensor (data aliases the table).
-func (e *Embedding) Lookup(id int) *Tensor {
-	if id < 0 {
-		id = 0
-	}
-	if id >= e.N {
-		id = e.N - 1
-	}
-	e.last = id
-	out := NewTensor(e.D)
-	copy(out.Data, e.Weight.W[id*e.D:(id+1)*e.D])
-	return out
+func (e *Embedding) row(id int) int { return max(0, min(id, e.N-1)) }
+
+// At returns row id of the table. The slice aliases the weights: it is
+// read-only.
+func (e *Embedding) At(id int) []float32 {
+	r := e.row(id)
+	return e.Weight.W[r*e.D : (r+1)*e.D]
 }
 
-// Accumulate adds the gradient for the most recent Lookup.
-func (e *Embedding) Accumulate(dy *Tensor) {
-	row := e.Weight.G[e.last*e.D : (e.last+1)*e.D]
+// Backward accumulates d(At(id)) = dy into the gradient of row id.
+func (e *Embedding) Backward(id int, dy []float32) {
+	r := e.row(id)
+	row := e.Weight.G[r*e.D : (r+1)*e.D]
 	for i := range row {
-		row[i] += dy.Data[i]
+		row[i] += dy[i]
 	}
 }
 

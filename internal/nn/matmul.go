@@ -2,12 +2,13 @@ package nn
 
 // Fan-out thresholds: the m·k·n product at or above which a GEMM
 // splits its output rows into panels on the shared worker pool (see
-// fanOutPool). Batched inference (MatMul, MatMulBias and the backends
-// behind Workspace.MatMulBias) keeps the high threshold: a trial that
+// fanOutPool). Batched inference (MatMul, MatMulBias, and Conv2D.Forward
+// on an inference workspace) keeps the high threshold: a trial that
 // also fanned out smaller inference products raised flow-search's peak
-// RSS (DESIGN.md §8). The per-sample training layers
-// (Conv2D.Forward/Backward, MatMulATB, MatMulABTAcc) fan out at a
-// quarter of that, which covers the real 16x144x256 training products.
+// RSS (DESIGN.md §8). A training pass (Conv2D.Forward on a
+// TrainingWorkspace, and the backward products MatMulATB and
+// MatMulABTAcc) fans out at a quarter of that, which covers the real
+// 16x144x256 training products.
 const (
 	inferFanOutWork = 1 << 20
 	trainFanOutWork = 1 << 18

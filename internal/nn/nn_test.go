@@ -9,43 +9,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Tensor and matmul
-
-func TestTensorBasics(t *testing.T) {
-	x := NewTensor(2, 3)
-	if x.Len() != 6 {
-		t.Fatalf("Len = %d", x.Len())
-	}
-	x.Data[0] = 1
-	c := x.Clone()
-	c.Data[0] = 5
-	if x.Data[0] != 1 {
-		t.Error("Clone must copy data")
-	}
-	x.AddInPlace(c)
-	if x.Data[0] != 6 {
-		t.Error("AddInPlace wrong")
-	}
-	x.Scale(0.5)
-	if x.Data[0] != 3 {
-		t.Error("Scale wrong")
-	}
-	x.Zero()
-	for _, v := range x.Data {
-		if v != 0 {
-			t.Error("Zero failed")
-		}
-	}
-}
-
-func TestFromSliceShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FromSlice with wrong size should panic")
-		}
-	}()
-	FromSlice(make([]float32, 5), 2, 3)
-}
+// Matmul
 
 func naiveMatMul(c, a, b []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
@@ -159,41 +123,50 @@ func TestMaskedSoftmax(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Gradient checks
 
+// gradLayer is a layer under gradient check: fwd computes its output
+// for input x, and bwd runs its Backward for x and d(out) dy and
+// returns d(x).
+type gradLayer struct {
+	params []*Param
+	fwd    func(x []float32) []float32
+	bwd    func(x, dy []float32) []float32
+}
+
 // lossOf computes 0.5 Σ y². Its gradient w.r.t. y is y itself, which
 // makes analytic/numeric comparison simple for any layer.
-func lossOf(y *Tensor) float64 {
+func lossOf(y []float32) float64 {
 	var s float64
-	for _, v := range y.Data {
+	for _, v := range y {
 		s += 0.5 * float64(v) * float64(v)
 	}
 	return s
 }
 
-func lossGrad(y *Tensor) *Tensor { return y.Clone() }
+// analyticPass zeroes the gradients, runs one forward and backward of
+// the quadratic loss on x, and returns d(x).
+func (l gradLayer) analyticPass(x []float32) []float32 {
+	for _, p := range l.params {
+		p.ZeroGrad()
+	}
+	y := l.fwd(x)
+	return l.bwd(x, append([]float32(nil), y...))
+}
 
 // checkParamGradients verifies analytic parameter gradients against
 // central differences for an arbitrary layer under the quadratic loss.
-func checkParamGradients(t *testing.T, layer Layer, x *Tensor, tol float64) {
+func checkParamGradients(t *testing.T, l gradLayer, x []float32, tol float64) {
 	t.Helper()
-	forward := func() float64 { return lossOf(layer.Forward(x.Clone())) }
-
-	// Analytic pass.
-	for _, p := range layer.Params() {
-		p.ZeroGrad()
-	}
-	y := layer.Forward(x.Clone())
-	layer.Backward(lossGrad(y))
-
+	l.analyticPass(x)
 	const eps = 1e-3
-	for _, p := range layer.Params() {
+	for _, p := range l.params {
 		// Probe a handful of weights per parameter.
 		stride := len(p.W)/7 + 1
 		for i := 0; i < len(p.W); i += stride {
 			orig := p.W[i]
 			p.W[i] = orig + eps
-			lp := forward()
+			lp := lossOf(l.fwd(x))
 			p.W[i] = orig - eps
-			lm := forward()
+			lm := lossOf(l.fwd(x))
 			p.W[i] = orig
 			numeric := (lp - lm) / (2 * eps)
 			analytic := float64(p.G[i])
@@ -205,61 +178,93 @@ func checkParamGradients(t *testing.T, layer Layer, x *Tensor, tol float64) {
 }
 
 // checkInputGradient verifies dL/dx against central differences.
-func checkInputGradient(t *testing.T, layer Layer, x *Tensor, tol float64) {
+func checkInputGradient(t *testing.T, l gradLayer, x []float32, tol float64) {
 	t.Helper()
-	for _, p := range layer.Params() {
-		p.ZeroGrad()
-	}
-	y := layer.Forward(x.Clone())
-	dx := layer.Backward(lossGrad(y))
-
+	dx := l.analyticPass(x)
 	const eps = 1e-3
-	stride := len(x.Data)/7 + 1
-	for i := 0; i < len(x.Data); i += stride {
-		orig := x.Data[i]
-		x.Data[i] = orig + eps
-		lp := lossOf(layer.Forward(x.Clone()))
-		x.Data[i] = orig - eps
-		lm := lossOf(layer.Forward(x.Clone()))
-		x.Data[i] = orig
+	stride := len(x)/7 + 1
+	for i := 0; i < len(x); i += stride {
+		orig := x[i]
+		x[i] = orig + eps
+		lp := lossOf(l.fwd(x))
+		x[i] = orig - eps
+		lm := lossOf(l.fwd(x))
+		x[i] = orig
 		numeric := (lp - lm) / (2 * eps)
-		analytic := float64(dx.Data[i])
+		analytic := float64(dx[i])
 		if math.Abs(numeric-analytic) > tol*(1+math.Abs(numeric)) {
 			t.Errorf("dx[%d]: analytic %v vs numeric %v", i, analytic, numeric)
 		}
 	}
 }
 
-func randTensor(r *rng.RNG, shape ...int) *Tensor {
-	x := NewTensor(shape...)
-	for i := range x.Data {
-		x.Data[i] = float32(r.NormFloat64())
+func randSlice(r *rng.RNG, n int) []float32 {
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = float32(r.NormFloat64())
 	}
 	return x
+}
+
+func convLayer(c *Conv2D, h, w int) gradLayer {
+	return gradLayer{
+		params: c.Params(),
+		fwd:    func(x []float32) []float32 { return c.Forward(nil, x, 1, h, w) },
+		bwd:    func(x, dy []float32) []float32 { return c.Backward(nil, x, dy, h, w) },
+	}
+}
+
+func bnLayer(bn *BatchNorm2D, hw int, relu bool) gradLayer {
+	return gradLayer{
+		params: bn.Params(),
+		fwd:    func(x []float32) []float32 { return bn.Forward(nil, x, 1, hw, relu) },
+		bwd:    func(x, dy []float32) []float32 { return bn.Backward(nil, x, dy, hw, relu) },
+	}
+}
+
+func linearLayer(l *Linear, relu bool) gradLayer {
+	return gradLayer{
+		params: l.Params(),
+		fwd:    func(x []float32) []float32 { return l.ApplyInto(make([]float32, l.Out), x, relu) },
+		bwd:    func(x, dy []float32) []float32 { return l.Backward(nil, x, dy, relu) },
+	}
+}
+
+func resLayer(rb *ResBlock, h, w int) gradLayer {
+	return gradLayer{
+		params: rb.Params(),
+		fwd:    func(x []float32) []float32 { return rb.Forward(nil, x, 1, h, w, nil) },
+		bwd: func(x, dy []float32) []float32 {
+			var acts ResActs
+			var ws Workspace
+			rb.Forward(&ws, x, 1, h, w, &acts)
+			return rb.Backward(&ws, &acts, dy, h, w)
+		},
+	}
 }
 
 func TestConv2DGradients(t *testing.T) {
 	r := rng.New(5)
 	conv := NewConv2D("c", 2, 3, 3, r)
-	x := randTensor(r, 2, 5, 5)
-	checkParamGradients(t, conv, x, 2e-2)
-	checkInputGradient(t, conv, x, 2e-2)
+	x := randSlice(r, 2*5*5)
+	checkParamGradients(t, convLayer(conv, 5, 5), x, 2e-2)
+	checkInputGradient(t, convLayer(conv, 5, 5), x, 2e-2)
 }
 
 func TestConv1x1Gradients(t *testing.T) {
 	r := rng.New(6)
 	conv := NewConv2D("c", 3, 2, 1, r)
-	x := randTensor(r, 3, 4, 4)
-	checkParamGradients(t, conv, x, 2e-2)
-	checkInputGradient(t, conv, x, 2e-2)
+	x := randSlice(r, 3*4*4)
+	checkParamGradients(t, convLayer(conv, 4, 4), x, 2e-2)
+	checkInputGradient(t, convLayer(conv, 4, 4), x, 2e-2)
 }
 
 func TestLinearGradients(t *testing.T) {
 	r := rng.New(7)
 	lin := NewLinear("l", 10, 6, r)
-	x := randTensor(r, 10)
-	checkParamGradients(t, lin, x, 1e-2)
-	checkInputGradient(t, lin, x, 1e-2)
+	x := randSlice(r, 10)
+	checkParamGradients(t, linearLayer(lin, false), x, 1e-2)
+	checkInputGradient(t, linearLayer(lin, false), x, 1e-2)
 }
 
 func TestBatchNormGradients(t *testing.T) {
@@ -268,34 +273,103 @@ func TestBatchNormGradients(t *testing.T) {
 	// Scale/offset away from identity so gradients are non-trivial.
 	bn.Gamma.W[0], bn.Gamma.W[1] = 1.5, 0.7
 	bn.Beta.W[0], bn.Beta.W[1] = 0.2, -0.4
-	x := randTensor(r, 2, 4, 4)
-	checkParamGradients(t, bn, x, 3e-2)
-	checkInputGradient(t, bn, x, 3e-2)
+	x := randSlice(r, 2*4*4)
+	checkParamGradients(t, bnLayer(bn, 16, false), x, 3e-2)
+	checkInputGradient(t, bnLayer(bn, 16, false), x, 3e-2)
 }
 
+// TestReLUGradient checks the fused ReLU of BatchNorm2D and Linear:
+// finite differences through the rectifier, and the mask itself —
+// the gradient passes exactly where the pre-activation is not
+// negative.
 func TestReLUGradient(t *testing.T) {
 	r := rng.New(9)
-	relu := NewReLU()
-	x := randTensor(r, 20)
-	y := relu.Forward(x)
-	dy := NewTensor(20)
-	for i := range dy.Data {
-		dy.Data[i] = 1
+	bn := NewBatchNorm2D("bn", 2)
+	bn.Beta.W[0], bn.Beta.W[1] = 0.3, -0.2
+	x := randSlice(r, 2*4*4)
+	checkParamGradients(t, bnLayer(bn, 16, true), x, 3e-2)
+	checkInputGradient(t, bnLayer(bn, 16, true), x, 3e-2)
+
+	lin := NewLinear("l", 10, 20, r)
+	xl := randSlice(r, 10)
+	checkParamGradients(t, linearLayer(lin, true), xl, 1e-2)
+	checkInputGradient(t, linearLayer(lin, true), xl, 1e-2)
+
+	// With dy = 1 everywhere, each bias gradient is 1 exactly where the
+	// pre-activation is ≥ 0 and 0 elsewhere.
+	pre := lin.ApplyInto(make([]float32, 20), xl, false)
+	dy := make([]float32, 20)
+	for i := range dy {
+		dy[i] = 1
 	}
-	dx := relu.Backward(dy)
-	for i := range x.Data {
-		want := float32(0)
-		if x.Data[i] >= 0 {
-			want = 1
+	lin.Bias.ZeroGrad()
+	lin.Backward(nil, xl, dy, true)
+	blocked := 0
+	for o, v := range pre {
+		want := float32(1)
+		if v < 0 {
+			want = 0
+			blocked++
 		}
-		if dx.Data[i] != want {
-			t.Errorf("dx[%d] = %v for x=%v", i, dx.Data[i], x.Data[i])
+		if lin.Bias.G[o] != want {
+			t.Errorf("bias grad %d = %v for pre-activation %v", o, lin.Bias.G[o], v)
 		}
-		if x.Data[i] > 0 && y.Data[i] != x.Data[i] {
-			t.Errorf("forward pass wrong at %d", i)
+	}
+	if blocked == 0 || blocked == len(pre) {
+		t.Fatalf("%d of %d pre-activations negative: the mask is not exercised", blocked, len(pre))
+	}
+}
+
+// TestFusedReLUPassesAtExactZero: a pre-activation of exactly 0 passes
+// the gradient (v < 0 blocks, v == 0 passes). The rectified output is
+// +0 there, as it is for a negative pre-activation, so a mask rebuilt
+// from the output would block it. Every fused rectifier is checked:
+// BatchNorm+ReLU, Linear+ReLU and the residual skip add+ReLU.
+func TestFusedReLUPassesAtExactZero(t *testing.T) {
+	const h, w = 3, 3
+	const hw = h * w
+	ones := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = 1
 		}
-		if x.Data[i] < 0 && y.Data[i] != 0 {
-			t.Errorf("negative input not clamped at %d", i)
+		return s
+	}
+
+	// A constant channel normalises to x̂ = 0 and β = 0: BN output 0.
+	bn := NewBatchNorm2D("bn", 1)
+	x := make([]float32, hw)
+	for i := range x {
+		x[i] = 2.5
+	}
+	if y := bn.Forward(nil, x, 1, hw, false); y[0] != 0 {
+		t.Fatalf("BN pre-activation %v, want exactly 0", y[0])
+	}
+	bn.Backward(nil, x, ones(hw), hw, true)
+	if bn.Beta.G[0] != hw {
+		t.Errorf("BN+ReLU dβ = %v, want %v: the gradient must pass at 0", bn.Beta.G[0], hw)
+	}
+
+	// Zero input and zero bias: Linear output 0.
+	lin := NewLinear("l", 4, 3, rng.New(1))
+	lin.Backward(nil, make([]float32, 4), ones(3), true)
+	for o, g := range lin.Bias.G {
+		if g != 1 {
+			t.Errorf("Linear+ReLU db[%d] = %v, want 1", o, g)
+		}
+	}
+
+	// Zero input and zero biases: every branch activation is 0, so the
+	// skip sum is 0 + 0. The branch gradient cancels (BN of a constant
+	// map), which leaves d(x) = the skip's share of dy.
+	rb := NewResBlock("r", 2, rng.New(2))
+	var acts ResActs
+	var ws Workspace
+	rb.Forward(&ws, make([]float32, 2*hw), 1, h, w, &acts)
+	dx := rb.Backward(&ws, &acts, ones(2*hw), h, w)
+	for i, v := range dx {
+		if v != 1 {
+			t.Fatalf("ResBlock skip d(x)[%d] = %v, want 1", i, v)
 		}
 	}
 }
@@ -303,45 +377,44 @@ func TestReLUGradient(t *testing.T) {
 func TestResBlockGradients(t *testing.T) {
 	r := rng.New(10)
 	rb := NewResBlock("rb", 2, r)
-	x := randTensor(r, 2, 4, 4)
-	checkParamGradients(t, rb, x, 5e-2)
-	checkInputGradient(t, rb, x, 5e-2)
+	x := randSlice(r, 2*4*4)
+	checkParamGradients(t, resLayer(rb, 4, 4), x, 5e-2)
+	checkInputGradient(t, resLayer(rb, 4, 4), x, 5e-2)
 }
 
 func TestEmbedding(t *testing.T) {
 	r := rng.New(12)
 	e := NewEmbedding("e", 4, 3, r)
-	v := e.Lookup(2)
-	if v.Len() != 3 {
-		t.Fatalf("lookup dim = %d", v.Len())
+	if v := e.At(2); len(v) != 3 {
+		t.Fatalf("row dim = %d", len(v))
 	}
-	// Out-of-range ids clamp.
-	lo := e.Lookup(-5)
-	hi := e.Lookup(99)
-	for i := 0; i < 3; i++ {
-		if lo.Data[i] != e.Weight.W[i] {
-			t.Error("negative id should clamp to row 0")
-		}
-		if hi.Data[i] != e.Weight.W[3*3+i] {
-			t.Error("large id should clamp to last row")
-		}
-	}
-	// Gradient accumulates into the looked-up row.
-	e.Lookup(1)
-	g := NewTensor(3)
-	g.Data[0], g.Data[1], g.Data[2] = 1, 2, 3
-	e.Accumulate(g)
+	// Gradient accumulates into the row of the id, clamped like At.
+	e.Backward(1, []float32{1, 2, 3})
+	e.Backward(99, []float32{4, 5, 6})
 	if e.Weight.G[3] != 1 || e.Weight.G[4] != 2 || e.Weight.G[5] != 3 {
-		t.Errorf("grad row = %v", e.Weight.G[3:6])
+		t.Errorf("grad row 1 = %v", e.Weight.G[3:6])
 	}
+	if e.Weight.G[9] != 4 || e.Weight.G[10] != 5 || e.Weight.G[11] != 6 {
+		t.Errorf("grad row 3 (clamped) = %v", e.Weight.G[9:12])
+	}
+	// Finite differences of the quadratic loss of row 2.
+	emb := gradLayer{
+		params: e.Params(),
+		fwd:    func([]float32) []float32 { return append([]float32(nil), e.At(2)...) },
+		bwd: func(_, dy []float32) []float32 {
+			e.Backward(2, dy)
+			return nil
+		},
+	}
+	checkParamGradients(t, emb, nil, 1e-2)
 }
 
 // ---------------------------------------------------------------------------
-// Optimizers
+// Adam
 
-// quadraticParams builds a parameter holding 8 scalars with loss
-// Σ (w - target)²; gradient = 2(w - target).
-func optimizerConverges(t *testing.T, makeOpt func(p *Param) Optimizer) {
+// optimizerConverges minimises Σ (w - target)² over 8 scalars
+// (gradient 2(w - target)) with opt.
+func optimizerConverges(t *testing.T, makeOpt func(p *Param) *Adam) {
 	t.Helper()
 	p := NewParam("w", 8)
 	target := []float32{1, -2, 3, 0.5, -0.25, 2, -1, 0}
@@ -362,16 +435,8 @@ func optimizerConverges(t *testing.T, makeOpt func(p *Param) Optimizer) {
 	}
 }
 
-func TestSGDConverges(t *testing.T) {
-	optimizerConverges(t, func(p *Param) Optimizer { return NewSGD([]*Param{p}, 0.05, 0) })
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	optimizerConverges(t, func(p *Param) Optimizer { return NewSGD([]*Param{p}, 0.02, 0.9) })
-}
-
 func TestAdamConverges(t *testing.T) {
-	optimizerConverges(t, func(p *Param) Optimizer { return NewAdam([]*Param{p}, 0.05) })
+	optimizerConverges(t, func(p *Param) *Adam { return NewAdam([]*Param{p}, 0.05) })
 }
 
 func TestAdamClipsGradients(t *testing.T) {
@@ -394,27 +459,12 @@ func TestAdamClipsGradients(t *testing.T) {
 	}
 }
 
-func TestStepClearsGradients(t *testing.T) {
-	p := NewParam("w", 1)
-	s := NewSGD([]*Param{p}, 0.1, 0.5)
-	p.G[0] = 2
-	s.Step()
-	if p.G[0] != 0 {
-		t.Error("SGD.Step must clear gradients")
-	}
-	p.G[0] = 3
-	s.ZeroGrad()
-	if p.G[0] != 0 {
-		t.Error("ZeroGrad must clear gradients")
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Properties
 
 func TestIm2colCol2imAdjointProperty(t *testing.T) {
-	// ⟨im2col(x), y⟩ == ⟨x, col2im(y)⟩ — the defining adjoint identity
-	// that conv backward relies on.
+	// ⟨im2col(x), y⟩ == ⟨x, col2im(y)⟩ at batch 1 — the defining
+	// adjoint identity that conv backward relies on.
 	r := rng.New(21)
 	f := func(seed int64) bool {
 		rr := rng.New(seed ^ r.Int63())
@@ -425,7 +475,7 @@ func TestIm2colCol2imAdjointProperty(t *testing.T) {
 		}
 		ck := cin * k * k
 		cols := make([]float32, ck*h*w)
-		im2col(cols, x, cin, h, w, k, k/2)
+		im2colBatch(cols, x, cin, 1, h, w, k, k/2)
 		y := make([]float32, ck*h*w)
 		for i := range y {
 			y[i] = float32(rr.NormFloat64())
@@ -443,5 +493,43 @@ func TestIm2colCol2imAdjointProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIm2colMatchesDefinition checks im2colBatch element by element
+// against its definition, cols[(ci·K+ky)·K+kx][b·hw + oy·w + ox] =
+// x[ci][b][oy+ky−pad][ox+kx−pad] or 0 in the padding, on batches,
+// non-square maps and kernels wider than the map.
+func TestIm2colMatchesDefinition(t *testing.T) {
+	r := rng.New(22)
+	for _, sh := range [][5]int{ // cin, batch, h, w, k
+		{1, 1, 4, 4, 3}, {2, 3, 5, 3, 3}, {3, 2, 4, 6, 1}, {1, 2, 2, 2, 5}, {2, 1, 1, 7, 3},
+	} {
+		cin, batch, h, w, k := sh[0], sh[1], sh[2], sh[3], sh[4]
+		hw, pad := h*w, k/2
+		x := randSlice(r, cin*batch*hw)
+		cols := randSlice(r, cin*k*k*batch*hw) // garbage must be overwritten
+		im2colBatch(cols, x, cin, batch, h, w, k, pad)
+		for ci := 0; ci < cin; ci++ {
+			for ky := 0; ky < k; ky++ {
+				for kx := 0; kx < k; kx++ {
+					row := (ci*k+ky)*k + kx
+					for b := 0; b < batch; b++ {
+						for oy := 0; oy < h; oy++ {
+							for ox := 0; ox < w; ox++ {
+								iy, ix := oy+ky-pad, ox+kx-pad
+								var want float32
+								if iy >= 0 && iy < h && ix >= 0 && ix < w {
+									want = x[(ci*batch+b)*hw+iy*w+ix]
+								}
+								if got := cols[row*batch*hw+b*hw+oy*w+ox]; got != want {
+									t.Fatalf("shape %v: cols[%d][%d,%d,%d] = %v, want %v", sh, row, b, oy, ox, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

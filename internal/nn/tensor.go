@@ -1,89 +1,43 @@
 // Package nn is a small, dependency-free neural-network library built
-// for the agent of Fig. 2 / Table I of the paper: float32 tensors,
-// im2col Conv2D, spatial BatchNorm, ReLU, Linear, embeddings, residual
-// blocks, hand-wired backpropagation, and SGD/Adam optimizers.
+// for the agent of Fig. 2 / Table I of the paper: im2col Conv2D,
+// spatial BatchNorm, Linear, embeddings, residual blocks, fused ReLU
+// epilogues, hand-wired backpropagation and the Adam optimizer.
 //
-// The library deliberately avoids a general autograd graph: the agent
-// architecture is static, so each layer exposes Forward/Backward and
-// the composite network wires them explicitly. All layers operate on
-// a batch size of 1 — the Actor–Critic update of the paper accumulates
-// gradients over the steps of 30 episodes, which maps naturally onto
-// repeated single-sample backward passes. BatchNorm therefore
-// normalises over the spatial extent (H×W), which is well-defined for
-// the 16×16 feature maps involved.
+// A layer is its weights plus pure functions over flat float32
+// slices; there is no tensor type and no autograd graph. Every layer
+// has one forward, used by inference and training alike, and a
+// Backward that takes the forward's input slice and d(out), returns
+// d(in) and accumulates into the layer's Param.G. Backward keeps
+// nothing from the forward: it recomputes what it needs (the conv's
+// im2col columns, BatchNorm's mean, 1/σ and x̂, the sign of a fused
+// ReLU's pre-activation) with the same float32 operations in the same
+// order, so the gradients are those of the exact forward values.
+//
+// Feature maps are stored channel-major over the batch: element
+// (c, b, i) of a [C, B, H*W] map lives at x[(c*B+b)*hw + i]. This
+// keeps every per-channel operation (convolution bias, BatchNorm, the
+// im2col rows) contiguous and makes a batched convolution a single
+// [Cout × Cin·K²] · [Cin·K² × B·H·W] product. Per sample, a forward
+// performs the same float32 operations in the same order at any batch
+// size, so a batched evaluation is bit-identical to evaluating each
+// sample alone (the MCTS determinism tests rely on this). Backward
+// runs at batch 1: the Actor–Critic update of the paper accumulates
+// gradients over the steps of 30 episodes one step at a time.
+// BatchNorm normalises each sample over its spatial extent (H×W),
+// which is well-defined for the 16×16 feature maps involved.
+//
+// Every forward and backward draws its buffers from a Workspace arena
+// (see workspace.go). Fused epilogues (the convolution bias, the ReLU
+// after BatchNorm and after Linear, the residual add+ReLU) sweep the
+// output once and perform the identical float operations in the
+// identical order as separate passes would.
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"macroplace/internal/rng"
 )
-
-// Tensor is a dense float32 tensor with row-major layout. Feature
-// maps use [C, H, W] order.
-type Tensor struct {
-	Shape []int
-	Data  []float32
-}
-
-// NewTensor allocates a zero tensor of the given shape.
-func NewTensor(shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		if s <= 0 {
-			panic(fmt.Sprintf("nn: non-positive dim %d in shape %v", s, shape))
-		}
-		n *= s
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
-}
-
-// FromSlice wraps data (not copied) in a tensor of the given shape.
-func FromSlice(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("nn: shape %v needs %d elements, got %d", shape, n, len(data)))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
-}
-
-// Len returns the element count.
-func (t *Tensor) Len() int { return len(t.Data) }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	out := &Tensor{Shape: append([]int(nil), t.Shape...), Data: make([]float32, len(t.Data))}
-	copy(out.Data, t.Data)
-	return out
-}
-
-// Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
-// AddInPlace accumulates o into t elementwise.
-func (t *Tensor) AddInPlace(o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic("nn: AddInPlace size mismatch")
-	}
-	for i := range t.Data {
-		t.Data[i] += o.Data[i]
-	}
-}
-
-// Scale multiplies every element by f.
-func (t *Tensor) Scale(f float32) {
-	for i := range t.Data {
-		t.Data[i] *= f
-	}
-}
 
 // Param is a learnable parameter with its gradient accumulator. G is
 // nil while an agent's training state is released (see
@@ -128,16 +82,4 @@ func (p *Param) Fill(v float32) {
 	for i := range p.W {
 		p.W[i] = v
 	}
-}
-
-// Layer is the common shape of all trainable modules.
-type Layer interface {
-	// Forward consumes the input and returns the output; the layer
-	// caches whatever it needs for Backward.
-	Forward(x *Tensor) *Tensor
-	// Backward consumes d(out) and returns d(in), accumulating
-	// parameter gradients.
-	Backward(dy *Tensor) *Tensor
-	// Params returns the layer's learnable parameters.
-	Params() []*Param
 }

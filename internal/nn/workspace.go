@@ -1,24 +1,38 @@
 package nn
 
-// Workspace is a bump-pointer float32 arena for the pure inference
-// kernels: a forward pass Takes every intermediate buffer from it in a
-// deterministic order, and the caller Resets it before the next pass.
+// Workspace is a bump-pointer float32 arena for the layer forwards and
+// backwards: a pass Takes every buffer from it in a deterministic
+// order, and the caller Resets it before the next pass. A training
+// pass resets it before the forward and not again until the forward's
+// Backward has run, so the activations Backward reads stay valid.
 //
 // The arena grows to the high-water mark of the previous pass: the
 // first pass over a new shape allocates (every Take that misses falls
 // back to make), and every following pass of the same or smaller shape
 // performs zero heap allocations. Buffers handed out by Take are NOT
-// zeroed — every inference kernel fully overwrites its destination, so
-// recycled garbage can never leak into an output (tests pin the
-// with-workspace results bit-identical to the allocating kernels).
+// zeroed — every kernel fully overwrites its destination or clears it
+// first, so recycled garbage can never leak into an output (tests pin
+// the with-workspace results bit-identical to a nil workspace's).
 //
-// A nil *Workspace is valid and degrades every Take to a plain make,
-// which keeps the allocating entry points (ForwardBatch and friends)
-// as thin wrappers over the WS variants.
+// A nil *Workspace is valid and degrades every Take to a plain make.
 type Workspace struct {
 	arena []float32
-	off   int // bump pointer into arena
-	need  int // high-water mark of the current pass
+	off   int  // bump pointer into arena
+	need  int  // high-water mark of the current pass
+	train bool // training pass: see fanOutWork
+}
+
+// TrainingWorkspace returns an empty workspace for training passes.
+// The forward products of a pass on it fan out at the training
+// threshold, the one its backward products use (see matmul.go).
+func TrainingWorkspace() *Workspace { return &Workspace{train: true} }
+
+// fanOutWork is the fan-out threshold of a forward product on w.
+func (w *Workspace) fanOutWork() int {
+	if w != nil && w.train {
+		return trainFanOutWork
+	}
+	return inferFanOutWork
 }
 
 // Reset recycles the arena for a new pass, growing it to the previous
@@ -49,10 +63,4 @@ func (w *Workspace) Take(n int) []float32 {
 	s := w.arena[w.off : w.off+n : w.off+n]
 	w.off += n
 	return s
-}
-
-// MatMulBias runs the fused GEMM epilogue of the batched kernels that
-// draw from w; it is MatMulBias itself, for a nil workspace too.
-func (w *Workspace) MatMulBias(c, a, b, bias []float32, m, k, n int, relu bool) {
-	MatMulBias(c, a, b, bias, m, k, n, relu)
 }
