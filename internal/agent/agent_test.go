@@ -343,11 +343,13 @@ func TestBackwardAfterReleasePanics(t *testing.T) {
 
 // TestForwardBackwardAllocatesOnlyProbs: a warm training step runs on
 // the agent's training workspace, so a Forward+Backward pair allocates
-// only the Probs slice Forward returns. The shape keeps every product
-// below both fan-out thresholds, whose panel closures allocate.
+// only the Probs slice Forward returns. The agent has the real ζ=16,
+// 16-channel training shapes: their products stay below the fan-out
+// threshold (a fan-out's panel closure would allocate) and run on the
+// calling goroutine.
 func TestForwardBackwardAllocatesOnlyProbs(t *testing.T) {
-	a := New(Config{Zeta: 4, Channels: 6, ResBlocks: 2, MaxSteps: 5, Seed: 13})
-	sp, sa := randState(rng.New(12), 16, 3)
+	a := New(Config{Zeta: 16, Channels: 16, ResBlocks: 2, MaxSteps: 5, Seed: 13})
+	sp, sa := randState(rng.New(12), 256, 3)
 	step := func() {
 		a.Forward(sp, sa, 2)
 		a.Backward(5, 0.25, 0.5, 0.01)

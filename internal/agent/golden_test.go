@@ -62,9 +62,8 @@ func goldenAgent() *Agent {
 }
 
 // TestForwardGoldenFingerprint checks Forward and EvalState against the
-// recorded reference on a tower wide enough (16 channels at ζ=16) that
-// the training pass fans its convolution products out across the
-// worker pool.
+// recorded reference on the real training shapes (16 channels at
+// ζ=16).
 func TestForwardGoldenFingerprint(t *testing.T) {
 	a := goldenAgent()
 	in := goldenStates()

@@ -96,7 +96,7 @@ const parallelMinWork = 1 << 16
 
 // parallelBackend fans row panels of C out across the shared worker
 // pool at a much smaller product than the default kernel does
-// (parallelMinWork instead of 1<<20). Each panel runs the same row
+// (parallelMinWork instead of fanOutWork). Each panel runs the same row
 // kernel and fused bias/ReLU epilogue as the serial path, so the
 // result is bit-identical to the blocked backend regardless of worker
 // count or scheduling.
@@ -109,9 +109,7 @@ func (*parallelBackend) MatMulBias(c, a, b, bias []float32, m, k, n int, relu bo
 }
 
 // workerPool is a process-wide pool of persistent GEMM workers, one
-// per GOMAXPROCS at first use. Each worker owns a private Workspace so
-// panel kernels that need scratch (the int8 path's packed buffers) can
-// draw from it without locking or cross-worker false sharing.
+// per GOMAXPROCS at first use.
 type workerPool struct {
 	n     int
 	tasks chan poolTask
@@ -127,7 +125,7 @@ type poolTask struct {
 // poolRun is the state one run call shares with its panels, allocated
 // once per call.
 type poolRun struct {
-	f    func(panel int, ws *Workspace)
+	f    func(panel int)
 	wg   sync.WaitGroup
 	mu   sync.Mutex
 	pval any // first panel panic, re-raised by run
@@ -157,9 +155,8 @@ func newWorkerPool(n int) *workerPool {
 }
 
 func (p *workerPool) worker() {
-	ws := &Workspace{}
 	for t := range p.tasks {
-		p.runOne(t, ws)
+		p.runOne(t)
 	}
 }
 
@@ -167,7 +164,7 @@ func (p *workerPool) worker() {
 // crashing the worker goroutine: run re-raises the first panic on the
 // submitting goroutine, where callers (the mcts batcher) already
 // recover kernel panics into errors.
-func (p *workerPool) runOne(t poolTask, ws *Workspace) {
+func (p *workerPool) runOne(t poolTask) {
 	r := t.run
 	defer r.wg.Done()
 	defer func() {
@@ -179,8 +176,7 @@ func (p *workerPool) runOne(t poolTask, ws *Workspace) {
 			r.mu.Unlock()
 		}
 	}()
-	ws.Reset()
-	r.f(t.id, ws)
+	r.f(t.id)
 }
 
 // runRows splits the rows [0, m) of a product into one contiguous
@@ -189,7 +185,7 @@ func (p *workerPool) runOne(t poolTask, ws *Workspace) {
 // out (see run).
 func (p *workerPool) runRows(m int, rows func(r0, r1 int)) {
 	chunk := (m + p.n - 1) / p.n
-	p.run((m+chunk-1)/chunk, func(panel int, _ *Workspace) {
+	p.run((m+chunk-1)/chunk, func(panel int) {
 		r0 := panel * chunk
 		rows(r0, min(r0+chunk, m))
 	})
@@ -199,7 +195,7 @@ func (p *workerPool) runRows(m int, rows func(r0, r1 int)) {
 // complete, re-panicking on the caller's goroutine if any panel
 // panicked. Tasks must not themselves call run (the pool does not
 // nest).
-func (p *workerPool) run(panels int, f func(panel int, ws *Workspace)) {
+func (p *workerPool) run(panels int, f func(panel int)) {
 	if panels <= 0 {
 		return
 	}

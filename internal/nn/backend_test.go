@@ -151,41 +151,40 @@ func TestParallelBackendPanicPropagates(t *testing.T) {
 	requireExact(t, "parallel after panic", [3]int{m, k, n}, got, want)
 }
 
-// TestWorkspaceBackendRouting: a convolution runs the plain
-// MatMulBias kernel on a nil, an inference and a training workspace;
-// only the fan-out threshold differs, so a product that fans out on
-// the training workspace alone gives the same bits on all three.
+// TestWorkspaceBackendRouting: every product fans out at the one
+// threshold, whatever workspace a convolution runs on. The real
+// 16x144x256 tower product stays below it and runs on the caller; the
+// paper's 128x1152x256 product fans out. A convolution gives the same
+// bits as the plain MatMulBias kernel on a nil and on a recycled
+// workspace.
 func TestWorkspaceBackendRouting(t *testing.T) {
 	forcePoolWorkers(t, 3)
-	if (*Workspace)(nil).fanOutWork() != inferFanOutWork ||
-		(&Workspace{}).fanOutWork() != inferFanOutWork ||
-		TrainingWorkspace().fanOutWork() != trainFanOutWork {
-		t.Fatal("workspace fan-out thresholds are not inference, inference, training")
+	for _, sh := range [][3]int{{16, 144, 256}, {144, 16, 256}} {
+		if fanOutPool(sh[0], sh[0]*sh[1]*sh[2], fanOutWork) != nil {
+			t.Fatalf("training product %v fans out", sh)
+		}
 	}
-	const cin, cout, h, w = 16, 16, 16, 16 // 16x144x256: the tower product
-	requireFansOut(t, [3]int{cout, cin * 9, h * w}, trainFanOutWork)
-	if fanOutPool(cout, cout*cin*9*h*w, inferFanOutWork) != nil {
-		t.Fatal("tower product fans out at the inference threshold")
-	}
-	r := rng.New(11)
-	conv := NewConv2D("c", cin, cout, 3, r)
-	fillNorm(r, conv.Bias.W)
-	x := make([]float32, cin*h*w)
-	fillWithZeros(r, x)
-	cols := make([]float32, cin*9*h*w)
-	im2colBatch(cols, x, cin, 1, h, w, 3, 1)
-	want := make([]float32, cout*h*w)
-	MatMulBias(want, conv.Weight.W, cols, conv.Bias.W, cout, cin*9, h*w, false)
+	requireFansOut(t, [3]int{128, 1152, 256}, fanOutWork)
 
-	sh := [3]int{cout, cin * 9, h * w}
-	requireExact(t, "nil workspace", sh, conv.Forward(nil, x, 1, h, w), want)
-	requireExact(t, "inference workspace", sh, conv.Forward(&Workspace{}, x, 1, h, w), want)
-	requireExact(t, "training workspace", sh, conv.Forward(TrainingWorkspace(), x, 1, h, w), want)
-}
+	for _, cin := range []int{16, 128} {
+		cout, h, w := cin, 16, 16
+		r := rng.New(11)
+		conv := NewConv2D("c", cin, cout, 3, r)
+		fillNorm(r, conv.Bias.W)
+		x := make([]float32, cin*h*w)
+		fillWithZeros(r, x)
+		cols := make([]float32, cin*9*h*w)
+		im2colBatch(cols, x, cin, 1, h, w, 3, 1)
+		want := make([]float32, cout*h*w)
+		naiveBackend{}.MatMulBias(want, conv.Weight.W, cols, conv.Bias.W, cout, cin*9, h*w, false)
 
-func clearF32(s []float32) {
-	for i := range s {
-		s[i] = 0
+		sh := [3]int{cout, cin * 9, h * w}
+		requireExact(t, "nil workspace", sh, conv.Forward(nil, x, 1, h, w), want)
+		var ws Workspace
+		for pass := 0; pass < 2; pass++ {
+			ws.Reset()
+			requireExact(t, "workspace", sh, conv.Forward(&ws, x, 1, h, w), want)
+		}
 	}
 }
 

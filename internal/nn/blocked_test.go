@@ -218,24 +218,67 @@ func TestWorkspaceZeroAllocationsAfterWarmup(t *testing.T) {
 	}
 }
 
+// TestWorkspaceMarkReleaseZeroAllocs: a convolution's forward and
+// backward hand their im2col columns (and their gradient) back to the
+// workspace, so the arena grows to the peak of the live buffers rather
+// than the sum of every Take, and a warm pass stays allocation-free.
+func TestWorkspaceMarkReleaseZeroAllocs(t *testing.T) {
+	const cin, cout, h, w, batch = 3, 4, 6, 6, 2
+	hw, ck := h*w, cin*9
+	r := rng.New(29)
+	conv := NewConv2D("c", cin, cout, 3, r)
+	for _, p := range conv.Params() {
+		p.G = make([]float32, len(p.W))
+	}
+	x := make([]float32, cin*batch*hw)
+	fillNorm(r, x)
+	dy := make([]float32, cout*hw)
+	fillNorm(r, dy)
+
+	var ws Workspace
+	pass := func() {
+		ws.Reset()
+		conv.Forward(&ws, x, batch, h, w)
+		conv.Backward(&ws, x[:cin*hw], dy, h, w)
+	}
+	pass() // warm-up pass
+	peak := cout*batch*hw + max(ck*batch*hw, cin*hw+2*ck*hw)
+	if ws.need != peak {
+		t.Fatalf("high-water mark %d, want the peak %d (the sum of takes is %d)",
+			ws.need, peak, cout*batch*hw+ck*batch*hw+cin*hw+2*ck*hw)
+	}
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Fatalf("warm mark/release pass allocates %v times, want 0", allocs)
+	}
+	if len(ws.arena) != peak {
+		t.Fatalf("arena grew to %d floats, want the peak %d", len(ws.arena), peak)
+	}
+
+	mark := ws.Mark()
+	a := ws.Take(5)
+	ws.Release(mark)
+	if b := ws.Take(5); &a[0] != &b[0] {
+		t.Fatal("Take after Release did not reuse the released buffer")
+	}
+}
+
 func TestWorkspaceNilIsValid(t *testing.T) {
 	var ws *Workspace
 	ws.Reset() // must not panic
+	ws.Release(ws.Mark())
 	buf := ws.Take(5)
 	if len(buf) != 5 {
 		t.Fatalf("nil workspace Take returned len %d", len(buf))
 	}
 }
 
-// fanOutShapes are products at or above the fan-out thresholds, so
-// their rows split into panels on the pool: the real training shapes
-// (conv forward and weight gradient 16x144x256, input gradient
-// 144x16x256), the paper's 128x1152x256 tower product, and odd n (and
-// m) that leave a ragged tail after the 8-wide register blocks and an
-// uneven last panel.
+// fanOutShapes are products at or above the fan-out threshold, so
+// their rows split into panels on the pool: the paper's 128x1152x256
+// tower product, an input-gradient-like product with many short rows,
+// and odd n (and m) that leave a ragged tail after the 8-wide register
+// blocks and an uneven last panel.
 var fanOutShapes = [][3]int{
-	{16, 144, 256}, {144, 16, 256}, {128, 1152, 256},
-	{16, 144, 263}, {37, 129, 301},
+	{128, 1152, 256}, {1152, 16, 64}, {16, 257, 263}, {37, 129, 301},
 }
 
 // fillWithZeros fills s with normal samples, a third of them replaced
@@ -271,8 +314,7 @@ func TestFanOutExactlyMatchesNaive(t *testing.T) {
 	for _, sh := range fanOutShapes {
 		m, k, n := sh[0], sh[1], sh[2]
 
-		// C = A·B + bias through MatMulBias (inference threshold) and
-		// through the training layer's threshold.
+		// C = A·B + bias through MatMulBias.
 		a := make([]float32, m*k)
 		b := make([]float32, k*n)
 		bias := make([]float32, m)
@@ -281,7 +323,7 @@ func TestFanOutExactlyMatchesNaive(t *testing.T) {
 		fillNorm(r, bias)
 		sum := make([]float32, m*n)
 		naiveMatMul(sum, a, b, m, k, n)
-		requireFansOut(t, sh, trainFanOutWork)
+		requireFansOut(t, sh, fanOutWork)
 		for _, relu := range []bool{false, true} {
 			want := make([]float32, m*n)
 			for i := 0; i < m; i++ {
@@ -296,9 +338,6 @@ func TestFanOutExactlyMatchesNaive(t *testing.T) {
 			got := make([]float32, m*n)
 			MatMulBias(got, a, b, bias, m, k, n, relu)
 			requireExact(t, "MatMulBias", sh, got, want)
-			clearF32(got)
-			matMulBias(got, a, b, bias, m, k, n, relu, trainFanOutWork)
-			requireExact(t, "matMulBias(train)", sh, got, want)
 		}
 
 		// C = Aᵀ·B with A (k×m).
@@ -371,7 +410,7 @@ func TestGEMMLengthGuards(t *testing.T) {
 // and the pool must keep producing exact results afterwards.
 func TestFanOutPanelPanicReRaisesOnCaller(t *testing.T) {
 	forcePoolWorkers(t, 3)
-	m, k, n := 16, 144, 256
+	m, k, n := 37, 129, 301
 	r := rng.New(28)
 	a := make([]float32, m*k)
 	b := make([]float32, k*n)
@@ -388,7 +427,7 @@ func TestFanOutPanelPanicReRaisesOnCaller(t *testing.T) {
 		"MatMulABTAcc": func(r0, r1 int) { abtAccRows(short, a, bt, k, n, r0, r1) },
 	}
 	for name, rows := range panels {
-		p := fanOutPool(m, m*k*n, trainFanOutWork)
+		p := fanOutPool(m, m*k*n, fanOutWork)
 		if p == nil {
 			t.Fatalf("%s: %dx%dx%d does not fan out", name, m, k, n)
 		}
@@ -404,7 +443,7 @@ func TestFanOutPanelPanicReRaisesOnCaller(t *testing.T) {
 
 	got := make([]float32, m*n)
 	want := make([]float32, m*n)
-	matMulBias(got, a, b, bias, m, k, n, true, trainFanOutWork)
+	MatMulBias(got, a, b, bias, m, k, n, true)
 	gemmRows(want, a, b, bias, k, n, 0, m, true)
 	requireExact(t, "MatMulBias after panel panics", [3]int{m, k, n}, got, want)
 	MatMulATB(got, at, b, m, k, n)

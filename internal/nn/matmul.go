@@ -1,18 +1,15 @@
 package nn
 
-// Fan-out thresholds: the m·k·n product at or above which a GEMM
-// splits its output rows into panels on the shared worker pool (see
-// fanOutPool). Batched inference (MatMul, MatMulBias, and Conv2D.Forward
-// on an inference workspace) keeps the high threshold: a trial that
-// also fanned out smaller inference products raised flow-search's peak
-// RSS (DESIGN.md §8). A training pass (Conv2D.Forward on a
-// TrainingWorkspace, and the backward products MatMulATB and
-// MatMulABTAcc) fans out at a quarter of that, which covers the real
-// 16x144x256 training products.
-const (
-	inferFanOutWork = 1 << 20
-	trainFanOutWork = 1 << 18
-)
+// fanOutWork is the m·k·n product at or above which a GEMM splits its
+// output rows into panels on the shared worker pool (see fanOutPool).
+// It is the one threshold of every product, inference and training
+// alike. The real training products (16x144x256 = 590k) fall below it
+// and run on the calling goroutine: RL pre-training runs in parallel
+// across the samples of an update window instead (rl.Trainer), where
+// there is far more independent work than inside one small product.
+// Paper-size products (128x1152x256) still split by rows, which never
+// changes a bit.
+const fanOutWork = 1 << 20
 
 // Cache-blocking tile sizes for the matmul kernels. A kP×kN panel of B
 // (256×256 float32 = 256 KiB) is streamed against a row block of C, so
@@ -38,7 +35,7 @@ func MatMul(c, a, b []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("nn: MatMul buffer too small")
 	}
-	if p := fanOutPool(m, m*k*n, inferFanOutWork); p != nil {
+	if p := fanOutPool(m, m*k*n, fanOutWork); p != nil {
 		p.runRows(m, func(r0, r1 int) { gemmRows(c, a, b, nil, k, n, r0, r1, false) })
 		return
 	}
@@ -52,7 +49,7 @@ func MatMul(c, a, b []float32, m, k, n int) {
 // max(0, ·) of the biased value, so the result is bit-identical to
 // running the epilogues as separate passes.
 func MatMulBias(c, a, b, bias []float32, m, k, n int, relu bool) {
-	matMulBias(c, a, b, bias, m, k, n, relu, inferFanOutWork)
+	matMulBias(c, a, b, bias, m, k, n, relu, fanOutWork)
 }
 
 // matMulBias is MatMulBias with an explicit fan-out threshold.
@@ -74,7 +71,7 @@ func MatMulATB(c, a, b []float32, m, k, n int) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		panic("nn: MatMulATB buffer too small")
 	}
-	if p := fanOutPool(m, m*k*n, trainFanOutWork); p != nil {
+	if p := fanOutPool(m, m*k*n, fanOutWork); p != nil {
 		p.runRows(m, func(r0, r1 int) { atbRows(c, a, b, m, k, n, r0, r1) })
 		return
 	}
@@ -89,7 +86,7 @@ func MatMulABTAcc(c, a, b []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("nn: MatMulABTAcc buffer too small")
 	}
-	if p := fanOutPool(m, m*k*n, trainFanOutWork); p != nil {
+	if p := fanOutPool(m, m*k*n, fanOutWork); p != nil {
 		p.runRows(m, func(r0, r1 int) { abtAccRows(c, a, b, k, n, r0, r1) })
 		return
 	}

@@ -138,7 +138,7 @@ func (be *int8Backend) MatMulBias(c, a, b, bias []float32, m, k, n int, relu boo
 	} else {
 		chunk := (m + workers - 1) / workers
 		panels := (m + chunk - 1) / chunk
-		pool.run(panels, func(panel int, _ *Workspace) {
+		pool.run(panels, func(panel int) {
 			r0 := panel * chunk
 			r1 := r0 + chunk
 			if r1 > m {

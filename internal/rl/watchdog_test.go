@@ -10,30 +10,46 @@ import (
 
 // TestTrainerSkipsNaNEpisodes: a flaky oracle that returns NaN for
 // some episodes must not poison the batch — training completes, the
-// skips are counted, and the agent stays finite.
+// skips are counted, and the agent stays finite. The watchdog sees the
+// same episodes in the same order whether one worker or three roll
+// them out, so History and the trained weights agree bit for bit.
 func TestTrainerSkipsNaNEpisodes(t *testing.T) {
-	env, wl := testEnv()
-	calls := 0
-	flaky := func(anchors []int) float64 {
-		calls++
-		if calls%3 == 0 {
-			return math.NaN()
+	run := func(procs int) *Trainer {
+		env, wl := testEnv()
+		calls := 0
+		flaky := func(anchors []int) float64 {
+			calls++
+			if calls%3 == 0 {
+				return math.NaN()
+			}
+			return wl(anchors)
 		}
-		return wl(anchors)
+		ag := agent.New(agent.Config{Zeta: 4, Channels: 4, ResBlocks: 1, MaxSteps: 4, Seed: 2})
+		tr := NewTrainer(Config{Episodes: 24, UpdateEvery: 8, CalibrationEpisodes: 6, Seed: 3}, ag, env, wl)
+		tr.procs = procs
+		tr.Calibrate() // calibrate on the healthy oracle
+		tr.WL = flaky
+		tr.Run()
+		if tr.Faults.SkippedEpisodes == 0 {
+			t.Fatalf("%d workers: NaN episodes were not skipped", procs)
+		}
+		if len(tr.History) != 24 {
+			t.Fatalf("%d workers: history = %d entries, want all 24 (skipped episodes stay recorded)", procs, len(tr.History))
+		}
+		if !agentHealthy(tr.Agent) {
+			t.Fatalf("%d workers: agent weights went non-finite despite the skip watchdog", procs)
+		}
+		return tr
 	}
-	ag := agent.New(agent.Config{Zeta: 4, Channels: 4, ResBlocks: 1, MaxSteps: 4, Seed: 2})
-	tr := NewTrainer(Config{Episodes: 24, UpdateEvery: 8, CalibrationEpisodes: 6, Seed: 3}, ag, env, wl)
-	tr.Calibrate() // calibrate on the healthy oracle
-	tr.WL = flaky
-	tr.Run()
-	if tr.Faults.SkippedEpisodes == 0 {
-		t.Fatal("NaN episodes were not skipped")
+	one, three := run(1), run(3)
+	if one.Faults != three.Faults {
+		t.Errorf("faults %+v at 1 worker, %+v at 3", one.Faults, three.Faults)
 	}
-	if len(tr.History) != 24 {
-		t.Fatalf("history = %d entries, want all 24 (skipped episodes stay recorded)", len(tr.History))
+	if historyHash(one.History) != historyHash(three.History) {
+		t.Errorf("History differs between 1 and 3 workers:\n%v\n%v", one.History, three.History)
 	}
-	if !agentHealthy(tr.Agent) {
-		t.Fatal("agent weights went non-finite despite the skip watchdog")
+	if a, b := one.Agent.Fingerprint(), three.Agent.Fingerprint(); a != b {
+		t.Errorf("trained fingerprint %#x at 1 worker, %#x at 3", a, b)
 	}
 }
 
@@ -126,8 +142,8 @@ func TestTrainerReleaseThenRun(t *testing.T) {
 	tr := testTrainer(Config{Episodes: 8, UpdateEvery: 4, CalibrationEpisodes: 5, Seed: 9})
 	tr.Run()
 	tr.Release()
-	if tr.opt != nil || tr.lastGood != nil {
-		t.Fatal("Release kept the optimizer or the last good copy")
+	if tr.opt != nil || tr.lastGood != nil || tr.workers != nil {
+		t.Fatal("Release kept the optimizer, the last good copy or the workers")
 	}
 	tr.Run()
 	if len(tr.History) != 16 {

@@ -68,9 +68,23 @@ func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // Choice returns an index in [0, len(weights)) drawn proportionally to
-// the non-negative weights. If every weight is zero (or the slice is
-// empty) it returns -1.
+// the non-negative weights: Pick over one Float64 of the stream. If
+// every weight is zero (or the slice is empty) it returns -1 and draws
+// nothing.
 func (r *RNG) Choice(weights []float64) int {
+	for _, w := range weights {
+		if w > 0 {
+			return Pick(weights, r.src.Float64())
+		}
+	}
+	return -1
+}
+
+// Pick returns the index that the uniform draw u ∈ [0, 1) selects from
+// the non-negative weights, each index taking a share of [0, 1)
+// proportional to its weight: the sampler of Choice, for a caller that
+// draws u itself. If every weight is zero it returns -1.
+func Pick(weights []float64, u float64) int {
 	var total float64
 	for _, w := range weights {
 		if w > 0 {
@@ -80,7 +94,7 @@ func (r *RNG) Choice(weights []float64) int {
 	if total <= 0 {
 		return -1
 	}
-	x := r.src.Float64() * total
+	x := u * total
 	for i, w := range weights {
 		if w <= 0 {
 			continue

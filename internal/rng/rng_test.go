@@ -103,6 +103,29 @@ func TestChoiceWeighted(t *testing.T) {
 	}
 }
 
+// TestPickMatchesChoice: Pick over the draw that Choice would take
+// returns Choice's index, on two identical streams.
+func TestPickMatchesChoice(t *testing.T) {
+	weights := [][]float64{
+		{0.1, 0, 0.5, 0.25, 0, 0.15},
+		{0, 0, 3},
+		{1e-300, 2, -1, 7},
+	}
+	a, b := New(31), New(31)
+	for k := 0; k < 300; k++ {
+		w := weights[k%len(weights)]
+		if got, want := Pick(w, b.Float64()), a.Choice(w); got != want {
+			t.Fatalf("draw %d: Pick = %d, Choice = %d", k, got, want)
+		}
+	}
+	if a.Int63() != b.Int63() {
+		t.Fatal("Pick's caller and Choice consumed their streams differently")
+	}
+	if Pick([]float64{0, -1}, 0.5) != -1 || Pick(nil, 0.5) != -1 {
+		t.Fatal("Pick with no positive weight should return -1")
+	}
+}
+
 func TestChoiceDegenerate(t *testing.T) {
 	r := New(6)
 	if got := r.Choice(nil); got != -1 {
