@@ -27,7 +27,10 @@ import (
 // netlist inline) plus the core/MCTS options the CLIs expose. Zero
 // fields select the same defaults as cmd/mctsplace, except Workers,
 // which defaults to 1 (deterministic) rather than all CPUs — a shared
-// daemon must not let one job grab the machine by default.
+// daemon must not let one job grab the machine by default. Workers
+// sizes the search; pre-training does not read it, because the
+// trainers running in a process split the CPUs among themselves and
+// train bit-identically at any worker count (rl.Trainer).
 type Spec struct {
 	// Bench names a synthetic benchmark (ibm01..ibm18, cir1..cir6).
 	// Mutually exclusive with Bookshelf.
