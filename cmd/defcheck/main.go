@@ -3,9 +3,10 @@
 // observes: the design's HPWL (with its exact float bit pattern, so
 // two reads of the same file can be compared bit-for-bit) and a
 // constraint audit under the same halo/channel/fence/snap knobs
-// mctsplace takes. It exits nonzero when constraints are active and
-// the placement violates them — the smoke flow's independent verdict
-// on a placed DEF.
+// mctsplace takes. With no knobs the audit still checks bare macro
+// overlap and region containment. It exits nonzero when the placement
+// violates the audit — the smoke flow's independent verdict on a
+// placed DEF.
 //
 // Usage:
 //
@@ -74,9 +75,6 @@ func main() {
 	h := d.HPWL()
 	fmt.Printf("def hpwl:       %.6g (bits %016x)\n", h, math.Float64bits(h))
 
-	if !d.Phys.Active() {
-		return
-	}
 	rep := d.ConstraintViolations()
 	fmt.Printf("constraints:    %s\n", rep)
 	if !rep.Clean() {

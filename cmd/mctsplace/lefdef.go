@@ -146,11 +146,8 @@ func writeDEFOut(path string, placed *macroplace.Design, doc *lefdef.Document, l
 	return nil
 }
 
-// reportConstraints prints the placement's constraint audit when
-// constraints are active; silent otherwise.
+// reportConstraints prints the placement's constraint audit (bare
+// macro overlap and region containment when no constraints are set).
 func reportConstraints(placed *macroplace.Design) {
-	if !placed.Phys.Active() {
-		return
-	}
 	fmt.Printf("constraints:    %s\n", placed.ConstraintViolations())
 }

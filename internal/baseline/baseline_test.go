@@ -27,29 +27,25 @@ func cirDesign(t *testing.T, seed int64) *netlist.Design {
 	return d
 }
 
-// checkResult verifies the baseline contract: positive HPWL, no
-// residual macro overlap worth mentioning, macros inside the region.
+// checkResult verifies the baseline contract: positive HPWL, a clean
+// legality audit (macros inside the region, no overlap beyond
+// ulp-sized slivers), and a truthful overlap report.
 func checkResult(t *testing.T, name string, d *netlist.Design, res Result) {
 	t.Helper()
 	if res.HPWL <= 0 {
 		t.Fatalf("%s: HPWL = %v", name, res.HPWL)
 	}
-	var macroArea float64
-	for _, m := range d.MacroIndices() {
-		macroArea += d.Nodes[m].Area()
+	if rep := d.ConstraintViolations(); !rep.Clean() {
+		t.Errorf("%s: constraint violations: %s", name, rep)
 	}
-	if macroArea > 0 && res.MacroOverlap > 0.05*macroArea {
-		t.Errorf("%s: overlap %v is %.1f%% of macro area", name, res.MacroOverlap, res.MacroOverlap/macroArea*100)
+	if mo := d.MovableOverlap(); mo > d.ConvergenceEps() {
+		t.Errorf("%s: movable-macro overlap %v exceeds %v", name, mo, d.ConvergenceEps())
 	}
-	// Tolerance: SetCenter/ClampInto round-trips can leave a boundary
-	// coordinate off by ~1 ulp.
-	eps := 1e-6 * (d.Region.W() + d.Region.H())
-	for _, m := range d.MovableMacroIndices() {
-		r := d.Nodes[m].Rect()
-		if r.Lx < d.Region.Lx-eps || r.Ly < d.Region.Ly-eps ||
-			r.Ux > d.Region.Ux+eps || r.Uy > d.Region.Uy+eps {
-			t.Errorf("%s: macro %s outside region: %v", name, d.Nodes[m].Name, r)
-		}
+	if !res.Converged {
+		t.Errorf("%s: did not converge", name)
+	}
+	if got := d.MacroOverlap(); got != res.MacroOverlap {
+		t.Errorf("%s: reported overlap %v != recomputed %v", name, res.MacroOverlap, got)
 	}
 }
 

@@ -268,17 +268,13 @@ func (p *Placer) Preprocess() error {
 	}
 	p.Coarse = cluster.Coarsen(p.Work, p.Clus)
 
-	// Active physical constraints (DEF designs, constraint knobs)
-	// shape the search space itself: group footprints inflate by the
-	// worst-case pad so availability prices halo/channel spacing,
-	// pre-placed macros claim their halos, and an explicit fence masks
-	// the anchor set. All of it is gated on Phys, so unconstrained
-	// flows stay bit-identical.
+	// Physical constraints (DEF designs, constraint knobs) shape the
+	// search space itself: group footprints inflate by the worst-case
+	// pad so availability prices halo/channel spacing, pre-placed
+	// macros claim their halos, and an explicit fence masks the anchor
+	// set. A nil Phys pads nothing and has no fence.
 	phys := p.Work.Phys
-	var padX, padY float64
-	if phys.Active() {
-		padX, padY = phys.MaxPad()
-	}
+	padX, padY := phys.MaxPad()
 	p.Shapes = make([]grid.Shape, len(p.Clus.MacroGroups))
 	for i := range p.Clus.MacroGroups {
 		p.Shapes[i] = grid.ShapeOfPadded(p.Grid, &p.Clus.MacroGroups[i], padX, padY)
@@ -289,18 +285,14 @@ func (p *Placer) Preprocess() error {
 	for i := range p.Work.Nodes {
 		n := &p.Work.Nodes[i]
 		if n.Kind == netlist.Macro && n.Fixed {
-			r := n.Rect()
-			if phys.Active() {
-				px, py := phys.Pad(n.Name)
-				r = r.Inflate(px, py)
-			}
-			fixedRects = append(fixedRects, r)
+			px, py := phys.Pad(n.Name)
+			fixedRects = append(fixedRects, n.Rect().Inflate(px, py))
 		}
 	}
 	p.baseUtil = grid.BaseUtilFromFixed(p.Grid, fixedRects)
 	p.Env = grid.NewEnv(p.Grid, p.Shapes, p.baseUtil)
-	if phys.Active() && phys.Fence != nil {
-		p.Env.SetFence(phys.FenceRect(p.Work.Region))
+	if phys != nil && phys.Fence != nil {
+		p.Env.SetFence(*phys.Fence)
 	}
 	p.utilScratch = make([]float64, p.Grid.NumCells())
 	for i := range p.Clus.MacroGroups {

@@ -10,11 +10,13 @@ import (
 
 // EnforceConstraints makes every movable macro of d clean under
 // d.Phys — halo/channel spacing, fence containment, and row/track
-// snapping — mutating d. It is the shared final pass of every placer
+// snapping — mutating d. It is the one separation pass of every placer
 // backend (legalize.Macros for the mcts/core flow, baseline.Finish for
 // the six comparison placers), so the whole portfolio honors one
-// constraint semantics. It reports whether a violation-free state was
-// reached; with no active constraints it is a no-op returning true.
+// legality semantics. A nil Phys means zero pads, no fence and no snap
+// lattice: the pass then only removes macro overlap. It reports
+// whether a violation-free state with no bare movable-macro overlap
+// beyond d.ConvergenceEps() was reached.
 //
 // Strategy: a pairwise shove on pad-inflated rectangles (cheap,
 // preserves the placement), then lattice snapping, then — only for
@@ -23,8 +25,8 @@ import (
 // order.
 func EnforceConstraints(d *netlist.Design) bool {
 	c := d.Phys
-	if !c.Active() {
-		return true
+	if c == nil {
+		c = &netlist.Constraints{}
 	}
 	fence := c.FenceRect(d.Region)
 	if is, ok := fence.Intersect(d.Region); ok {
@@ -32,66 +34,73 @@ func EnforceConstraints(d *netlist.Design) bool {
 	} else {
 		fence = d.Region
 	}
+	legal := func() bool {
+		return d.ConstraintViolations().Clean() && d.MovableOverlap() <= d.ConvergenceEps()
+	}
 
 	movable := d.MovableMacroIndices()
 	if len(movable) == 0 {
-		return d.ConstraintViolations().Clean()
+		return legal()
 	}
 
-	shoveInflated(d, movable, fence, 200)
-	snapMovable(d, movable, fence)
-	if d.ConstraintViolations().Clean() {
+	shove(d, c, movable, fence, 200)
+	snapMovable(d, c, movable, fence)
+	if legal() {
 		return true
 	}
-	repairConstrained(d, fence)
-	return d.ConstraintViolations().Clean()
+	repair(d, c, fence)
+	return legal()
 }
 
-// shoveInflated is the constraint analogue of shove: movable macros
-// are inflated by their pads, separated along the minimum-penetration
-// axis, and clamped so the inflated rect stays inside the fence.
-// Fixed macros push (inflated by their own pads) but never move.
-func shoveInflated(d *netlist.Design, movable []int, fence geom.Rect, maxIters int) {
-	c := d.Phys
-	var all []int
-	all = append(all, movable...)
+// shove separates overlapping pad-inflated macros along the
+// minimum-penetration axis, clamping each movable macro so its
+// inflated rect stays inside the fence. Fixed macros push (inflated by
+// their own pads) but never move. Every rectangle is rebuilt from its
+// node origin at each test and push, so zero pads reproduce the bare
+// geometry exactly.
+func shove(d *netlist.Design, c *netlist.Constraints, movable []int, fence geom.Rect, maxIters int) {
+	all := append([]int(nil), movable...)
 	nMov := len(all)
 	for i := range d.Nodes {
-		if d.Nodes[i].Kind == netlist.Macro && !d.Nodes[i].Movable() {
+		if d.Nodes[i].Kind == netlist.Macro && d.Nodes[i].Fixed {
 			all = append(all, i)
 		}
 	}
-	infl := make([]geom.Rect, len(all))
 	pads := make([][2]float64, len(all))
 	for k, i := range all {
-		n := &d.Nodes[i]
-		px, py := c.Pad(n.Name)
-		pads[k] = [2]float64{px, py}
-		infl[k] = n.Rect().Inflate(px, py)
-		if k < nMov {
-			infl[k] = infl[k].ClampInto(fence)
+		pads[k][0], pads[k][1] = c.Pad(d.Nodes[i].Name)
+	}
+	infl := func(k int) geom.Rect {
+		return d.Nodes[all[k]].Rect().Inflate(pads[k][0], pads[k][1])
+	}
+	push := func(k int, px, py float64) {
+		r := infl(k).Translate(px, py).ClampInto(fence)
+		d.Nodes[all[k]].X, d.Nodes[all[k]].Y = r.Lx+pads[k][0], r.Ly+pads[k][1]
+	}
+	for k := 0; k < nMov; k++ {
+		if !fence.ContainsRect(infl(k)) {
+			push(k, 0, 0)
 		}
 	}
 	for iter := 0; iter < maxIters; iter++ {
+		obsShoveIters.Inc()
 		found := false
 		for a := 0; a < len(all); a++ {
 			for b := a + 1; b < len(all); b++ {
 				if a >= nMov && b >= nMov {
 					continue
 				}
-				is, ok := infl[a].Intersect(infl[b])
-				if !ok || is.Empty() {
+				is, ok := infl(a).Intersect(infl(b))
+				if !ok {
 					continue
 				}
 				found = true
 				moveA, moveB := a < nMov, b < nMov
+				ca, cb := d.Nodes[all[a]].Center(), d.Nodes[all[b]].Center()
 				dx, dy := is.W(), is.H()
-				push := func(k int, px, py float64) {
-					infl[k] = infl[k].Translate(px, py).ClampInto(fence)
-				}
 				if dx <= dy {
 					dir := 1.0
-					if infl[a].Center().X > infl[b].Center().X {
+					if ca.X > cb.X {
 						dir = -1
 					}
 					switch {
@@ -105,7 +114,7 @@ func shoveInflated(d *netlist.Design, movable []int, fence geom.Rect, maxIters i
 					}
 				} else {
 					dir := 1.0
-					if infl[a].Center().Y > infl[b].Center().Y {
+					if ca.Y > cb.Y {
 						dir = -1
 					}
 					switch {
@@ -121,21 +130,15 @@ func shoveInflated(d *netlist.Design, movable []int, fence geom.Rect, maxIters i
 			}
 		}
 		if !found {
-			break
+			return
 		}
-	}
-	for k := 0; k < nMov; k++ {
-		n := &d.Nodes[all[k]]
-		n.X = infl[k].Lx + pads[k][0]
-		n.Y = infl[k].Ly + pads[k][1]
 	}
 }
 
 // snapMovable puts every movable macro's origin on the snap lattice,
 // choosing the nearest lattice point whose inflated rect stays inside
 // the fence.
-func snapMovable(d *netlist.Design, movable []int, fence geom.Rect) {
-	c := d.Phys
+func snapMovable(d *netlist.Design, c *netlist.Constraints, movable []int, fence geom.Rect) {
 	if c.SnapX <= 0 && c.SnapY <= 0 {
 		return
 	}
@@ -175,30 +178,39 @@ func snapInto(v, lo, hi, pitch, origin float64) (float64, bool) {
 	return s, true
 }
 
-// repairConstrained is the deterministic last-resort pass: macros are
-// committed in non-increasing area order; a macro violating spacing or
-// fence against the committed set moves to the nearest legal lattice
-// position found on progressively finer candidate grids. Macros that
-// fit nowhere stay put (the enclosing EnforceConstraints re-audit
-// reports them).
-func repairConstrained(d *netlist.Design, fence geom.Rect) {
-	c := d.Phys
+// repair is the deterministic last-resort pass: macros are committed
+// in non-increasing area order; a macro violating spacing or fence
+// against the committed set, or overlapping a committed macro at all,
+// moves to the nearest legal lattice position found on progressively
+// finer candidate grids. Macros that fit nowhere stay put (the
+// enclosing EnforceConstraints re-audit reports them).
+func repair(d *netlist.Design, c *netlist.Constraints, fence geom.Rect) {
 	eps := 1e-9 * (d.Region.W() + d.Region.H())
 
-	var committed []geom.Rect
+	// committed holds each committed macro's bare rect and its
+	// pad-inflated rect.
+	var committed [][2]geom.Rect
+	commit := func(n *netlist.Node, px, py float64) {
+		r := n.Rect()
+		committed = append(committed, [2]geom.Rect{r, r.Inflate(px, py)})
+	}
 	for i := range d.Nodes {
 		n := &d.Nodes[i]
-		if n.Kind == netlist.Macro && !n.Movable() {
+		if n.Kind == netlist.Macro && n.Fixed {
 			px, py := c.Pad(n.Name)
-			committed = append(committed, n.Rect().Inflate(px, py))
+			commit(n, px, py)
 		}
 	}
-	legal := func(r geom.Rect) bool {
-		if r.Lx < fence.Lx-eps || r.Ly < fence.Ly-eps || r.Ux > fence.Ux+eps || r.Uy > fence.Uy+eps {
+	legal := func(r geom.Rect, px, py float64) bool {
+		infl := r.Inflate(px, py)
+		if infl.Lx < fence.Lx-eps || infl.Ly < fence.Ly-eps || infl.Ux > fence.Ux+eps || infl.Uy > fence.Uy+eps {
 			return false
 		}
 		for _, cm := range committed {
-			if is, ok := r.Intersect(cm); ok && math.Min(is.W(), is.H()) > eps {
+			if r.Overlap(cm[0]) {
+				return false
+			}
+			if is, ok := infl.Intersect(cm[1]); ok && math.Min(is.W(), is.H()) > eps {
 				return false
 			}
 		}
@@ -216,16 +228,14 @@ func repairConstrained(d *netlist.Design, fence geom.Rect) {
 	for _, m := range order {
 		n := &d.Nodes[m]
 		px, py := c.Pad(n.Name)
-		cur := n.Rect().Inflate(px, py)
-		if legal(cur) &&
+		if legal(n.Rect(), px, py) &&
 			netlist.OnLattice(n.X, c.SnapX, c.SnapOriginX) &&
 			netlist.OnLattice(n.Y, c.SnapY, c.SnapOriginY) {
-			committed = append(committed, cur)
+			commit(n, px, py)
 			continue
 		}
 		loX, hiX := fence.Lx+px, fence.Ux-px-n.W
 		loY, hiY := fence.Ly+py, fence.Uy-py-n.H
-		placed := false
 		for _, k := range []int{16, 32, 64, 128} {
 			bestD := math.Inf(1)
 			var bestX, bestY float64
@@ -241,10 +251,9 @@ func repairConstrained(d *netlist.Design, fence geom.Rect) {
 					if !ok {
 						continue
 					}
-					cand := geom.Rect{Lx: x - px, Ly: y - py, Ux: x + n.W + px, Uy: y + n.H + py}
 					dx, dy := x-n.X, y-n.Y
 					dist := dx*dx + dy*dy
-					if dist >= bestD || !legal(cand) {
+					if dist >= bestD || !legal(geom.Rect{Lx: x, Ly: y, Ux: x + n.W, Uy: y + n.H}, px, py) {
 						continue
 					}
 					bestD, bestX, bestY = dist, x, y
@@ -252,13 +261,9 @@ func repairConstrained(d *netlist.Design, fence geom.Rect) {
 			}
 			if !math.IsInf(bestD, 1) {
 				n.X, n.Y = bestX, bestY
-				committed = append(committed, n.Rect().Inflate(px, py))
-				placed = true
 				break
 			}
 		}
-		if !placed {
-			committed = append(committed, cur)
-		}
+		commit(n, px, py)
 	}
 }

@@ -18,16 +18,20 @@ func constrainedDesign() *netlist.Design {
 	return d
 }
 
-func TestEnforceConstraintsNilPhysNoop(t *testing.T) {
+func TestEnforceConstraintsNilPhysSeparates(t *testing.T) {
 	d := constrainedDesign()
-	before := d.Positions()
+	fx, fy := d.Nodes[3].X, d.Nodes[3].Y
 	if !EnforceConstraints(d) {
-		t.Fatal("nil Phys must trivially succeed")
+		t.Fatalf("nil Phys: separation failed: %v", d.ConstraintViolations())
 	}
-	for i, p := range d.Positions() {
-		if p != before[i] {
-			t.Fatalf("node %d moved with nil constraints", i)
-		}
+	if rep := d.ConstraintViolations(); !rep.Clean() {
+		t.Fatalf("nil Phys: violations remain: %v", rep)
+	}
+	if mo := d.MovableOverlap(); mo != 0 {
+		t.Fatalf("nil Phys: movable overlap %v, want 0", mo)
+	}
+	if d.Nodes[3].X != fx || d.Nodes[3].Y != fy {
+		t.Fatal("fixed macro moved")
 	}
 }
 

@@ -282,12 +282,25 @@ func TestMacrosDeterministic(t *testing.T) {
 	}
 }
 
-func TestTotalMacroOverlapMetric(t *testing.T) {
-	d := &netlist.Design{Region: geom.NewRect(0, 0, 10, 10)}
-	d.AddNode(netlist.Node{Name: "a", Kind: netlist.Macro, W: 2, H: 2, X: 0, Y: 0})
-	d.AddNode(netlist.Node{Name: "b", Kind: netlist.Macro, W: 2, H: 2, X: 1, Y: 1})
-	d.AddNode(netlist.Node{Name: "c", Kind: netlist.Cell, W: 2, H: 2, X: 1, Y: 1})
-	if got := TotalMacroOverlap(d); got != 1 {
-		t.Errorf("overlap = %v, want 1 (cells ignored)", got)
+// TestMacrosLegalAcrossSeeds pins the legality contract of Macros on
+// random allocations without constraints: a clean audit and no
+// movable-macro overlap beyond ulp slivers. Seed 49 is a case the
+// pairwise shove alone leaves overlapping.
+func TestMacrosLegalAcrossSeeds(t *testing.T) {
+	for seed := int64(45); seed < 55; seed++ {
+		in, d := legalizeFixture(t, seed)
+		res, err := Macros(in)
+		if err != nil {
+			t.Fatalf("seed %d: Macros: %v", seed, err)
+		}
+		if rep := d.ConstraintViolations(); !rep.Clean() {
+			t.Errorf("seed %d: violations: %s", seed, rep)
+		}
+		if mo := d.MovableOverlap(); mo > d.ConvergenceEps() {
+			t.Errorf("seed %d: movable overlap %v exceeds %v", seed, mo, d.ConvergenceEps())
+		}
+		if res.Overlap != d.MacroOverlap() {
+			t.Errorf("seed %d: reported overlap %v != recomputed %v", seed, res.Overlap, d.MacroOverlap())
+		}
 	}
 }

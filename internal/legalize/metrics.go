@@ -4,7 +4,7 @@ import "macroplace/internal/obs"
 
 // Macro-legalization telemetry (DESIGN.md §9). The residual-overlap
 // gauge is the per-run legality signal: zero in healthy runs, nonzero
-// when the shove pass exhausted its iteration budget.
+// when the separation pass could not make the placement legal.
 var (
 	obsRuns = obs.NewCounter("macroplace_legalize_runs_total",
 		"Macro legalization passes completed.")

@@ -194,12 +194,7 @@ func Measure(d *netlist.Design) Report {
 	rep := Report{
 		HPWL:         d.HPWL(),
 		WeightedHPWL: d.WeightedHPWL(),
-	}
-	macros := d.MacroIndices()
-	for i := 0; i < len(macros); i++ {
-		for j := i + 1; j < len(macros); j++ {
-			rep.MacroOverlap += d.Nodes[macros[i]].Rect().OverlapArea(d.Nodes[macros[j]].Rect())
-		}
+		MacroOverlap: d.MacroOverlap(),
 	}
 	cm := RUDY(d, 32)
 	rep.PeakCongestion = cm.Max()

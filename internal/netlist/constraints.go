@@ -21,7 +21,8 @@ type Halo struct {
 // other per axis, stay (with their halos) inside the fence region, and
 // snap their origins onto the row/track lattice. A nil *Constraints on
 // Design.Phys — the only state the Bookshelf and synthetic paths ever
-// produce — disables every constraint path bit-identically.
+// produce — reads as zero pads, no fence and no snap lattice: macros
+// must still not overlap.
 //
 // The enforcement model inflates every macro by its per-side pad
 // (Pad): pads absorb both the halo and half the channel, so pairwise
@@ -56,8 +57,9 @@ type Constraints struct {
 }
 
 // Active reports whether any macro-legality constraint is in effect.
-// RowHeight/RowOriginY alone do not activate the macro paths — they
-// only inform cell legalization.
+// RowHeight/RowOriginY alone do not count — they only inform cell
+// legalization. Only the content hash reads it, so designs without
+// constraints keep their pre-constraint hashes.
 func (c *Constraints) Active() bool {
 	if c == nil {
 		return false
@@ -88,8 +90,11 @@ func (c *Constraints) Clone() *Constraints {
 // Pad returns the per-side inflation of the named macro: the larger of
 // its halo and half the channel, per axis. Inflating both macros of a
 // pair by their pads and requiring non-overlap yields spacing
-// >= max(halo_a + halo_b, channel).
+// >= max(halo_a + halo_b, channel). A nil receiver pads nothing.
 func (c *Constraints) Pad(name string) (px, py float64) {
+	if c == nil {
+		return 0, 0
+	}
 	hx, hy := c.HaloX, c.HaloY
 	if h, ok := c.Halos[name]; ok {
 		hx, hy = h.X, h.Y
@@ -101,8 +106,11 @@ func (c *Constraints) Pad(name string) (px, py float64) {
 
 // MaxPad returns the largest per-side pad any macro can carry — the
 // safe group-level pad the grid-search stage uses before per-macro
-// legalization refines it.
+// legalization refines it. A nil receiver pads nothing.
 func (c *Constraints) MaxPad() (px, py float64) {
+	if c == nil {
+		return 0, 0
+	}
 	px, py = c.Pad("")
 	for name := range c.Halos {
 		x, y := c.Pad(name)
@@ -289,15 +297,16 @@ func (r ViolationReport) String() string {
 		r.HaloOverlaps, r.HaloOverlapArea, r.FenceViolations, r.SnapViolations)
 }
 
-// ConstraintViolations audits the current placement against d.Phys.
-// With no active constraints the report is all-zero. Tolerance is
-// ulp-scale relative to the region span, matching the conformance
-// suite's in-region epsilon, so float dust from clamping never counts.
+// ConstraintViolations audits the current placement against d.Phys;
+// a nil Phys audits bare macro overlap and region containment.
+// Tolerance is ulp-scale relative to the region span, matching the
+// conformance suite's in-region epsilon, so float dust from clamping
+// never counts.
 func (d *Design) ConstraintViolations() ViolationReport {
 	var rep ViolationReport
 	c := d.Phys
-	if !c.Active() {
-		return rep
+	if c == nil {
+		c = &Constraints{}
 	}
 	eps := 1e-6 * (d.Region.W() + d.Region.H())
 	fence := c.FenceRect(d.Region)
@@ -340,4 +349,48 @@ func (d *Design) ConstraintViolations() ViolationReport {
 		}
 	}
 	return rep
+}
+
+// MacroOverlap returns the summed pairwise overlap area between all
+// macros, movable and fixed. Every placer reports this sum, in this
+// order, so a reported overlap can be recomputed bit-exactly.
+func (d *Design) MacroOverlap() float64 {
+	return d.macroOverlap(false)
+}
+
+// MovableOverlap sums the pairwise bare overlap area over macro pairs
+// with at least one movable member — the quantity legalization must
+// drive to zero (fixed-fixed overlap is the design's own). Unlike
+// ConstraintViolations it ignores no sliver; ConvergenceEps is its
+// threshold.
+func (d *Design) MovableOverlap() float64 {
+	return d.macroOverlap(true)
+}
+
+func (d *Design) macroOverlap(movableOnly bool) float64 {
+	macros := d.MacroIndices()
+	var total float64
+	for i := 0; i < len(macros); i++ {
+		for j := i + 1; j < len(macros); j++ {
+			a, b := &d.Nodes[macros[i]], &d.Nodes[macros[j]]
+			if movableOnly && a.Fixed && b.Fixed {
+				continue
+			}
+			total += a.Rect().OverlapArea(b.Rect())
+		}
+	}
+	return total
+}
+
+// ConvergenceEps returns the MovableOverlap threshold below which a
+// placement counts as fully separated: legalization packs neighbors
+// edge to edge, and the packed coordinates can carry float-ulp overlap
+// slivers that are not meaningful. The threshold scales with total
+// macro area so it stays ulp-sized on any design.
+func (d *Design) ConvergenceEps() float64 {
+	var area float64
+	for _, m := range d.MacroIndices() {
+		area += d.Nodes[m].Area()
+	}
+	return 1e-12 * area
 }

@@ -74,6 +74,51 @@ func TestConstraintViolationsCounts(t *testing.T) {
 	}
 }
 
+func TestConstraintViolationsNilPhysAuditsOverlap(t *testing.T) {
+	d := constraintsTestDesign()
+	d.Nodes[1].X = 15 // m1 overlaps m0 by 5x10
+	rep := d.ConstraintViolations()
+	if rep.Clean() || rep.HaloOverlaps != 1 || rep.HaloOverlapArea != 50 {
+		t.Fatalf("nil Phys: want one bare overlap of area 50, got %v", rep)
+	}
+	d.Nodes[1].X = 20 // edge to edge
+	if rep := d.ConstraintViolations(); !rep.Clean() {
+		t.Fatalf("abutting macros reported: %v", rep)
+	}
+	d.Nodes[1].X = 95 // sticks out of the region
+	if rep := d.ConstraintViolations(); rep.FenceViolations != 1 {
+		t.Fatalf("nil Phys: want one region violation, got %v", rep)
+	}
+}
+
+func TestConstraintsNilPadsNothing(t *testing.T) {
+	var c *Constraints
+	if px, py := c.Pad("m0"); px != 0 || py != 0 {
+		t.Fatalf("nil Pad = (%v, %v), want (0, 0)", px, py)
+	}
+	if px, py := c.MaxPad(); px != 0 || py != 0 {
+		t.Fatalf("nil MaxPad = (%v, %v), want (0, 0)", px, py)
+	}
+}
+
+func TestMacroOverlapSums(t *testing.T) {
+	d := &Design{Region: geom.NewRect(0, 0, 10, 10)}
+	d.AddNode(Node{Name: "a", Kind: Macro, W: 2, H: 2, X: 0, Y: 0})
+	d.AddNode(Node{Name: "b", Kind: Macro, W: 2, H: 2, X: 1, Y: 1})
+	d.AddNode(Node{Name: "c", Kind: Cell, W: 2, H: 2, X: 1, Y: 1})
+	d.AddNode(Node{Name: "f", Kind: Macro, Fixed: true, W: 2, H: 2, X: 6, Y: 6})
+	d.AddNode(Node{Name: "g", Kind: Macro, Fixed: true, W: 2, H: 2, X: 7, Y: 6})
+	if got := d.MacroOverlap(); got != 3 {
+		t.Errorf("MacroOverlap = %v, want 3 (cells ignored, fixed pair counted)", got)
+	}
+	if got := d.MovableOverlap(); got != 1 {
+		t.Errorf("MovableOverlap = %v, want 1 (fixed-fixed pair skipped)", got)
+	}
+	if got := d.ConvergenceEps(); got != 16e-12 {
+		t.Errorf("ConvergenceEps = %v, want 1e-12 x macro area 16", got)
+	}
+}
+
 func TestConstraintViolationsFixedPairsIgnored(t *testing.T) {
 	d := constraintsTestDesign()
 	d.Nodes[0].Fixed = true

@@ -8,11 +8,14 @@
 // The invariants (DESIGN.md §11):
 //
 //  1. the input design is never mutated;
-//  2. the placement is complete and legal — finite positions, movable
-//     macros inside the region, macro overlap within tolerance;
+//  2. the placement is complete and legal — finite positions, a clean
+//     Design.ConstraintViolations audit (movable macros inside the
+//     region or fence; with nil Phys that audit still checks bare
+//     overlap), and Design.MovableOverlap within ConvergenceEps;
 //  3. reported metrics equal recomputation from the placed netlist,
 //     bit-exactly (HPWL and MacroOverlap);
-//  4. Converged is truthful: when set, no movable-macro pair overlaps;
+//  4. Converged is truthful: when set, no movable-macro pair overlaps
+//     beyond ConvergenceEps, and the standard designs converge;
 //  5. a fixed seed yields a bit-identical result;
 //  6. cancellation returns a complete legal anytime incumbent within a
 //     bounded grace period, flagged Interrupted;
@@ -128,12 +131,9 @@ func Run(t *testing.T, backend string, cfg Config) {
 			t.Run(d.Name, func(t *testing.T) {
 				res := place(t, p, context.Background(), d, cfg.Opts, cfg.CancelGrace)
 				// Constrained runs may legitimately trade convergence
-				// for legality on the smoke budget; the constraint
-				// verdict below is the invariant under test.
+				// for legality on the smoke budget; CheckResult's
+				// constraint audit is the invariant under test.
 				CheckResult(t, backend, d, res, true)
-				if rep := res.Placed.ConstraintViolations(); !rep.Clean() {
-					t.Errorf("%s: constraint violations on %s: %s", backend, d.Name, rep)
-				}
 			})
 		}
 	})
@@ -282,22 +282,15 @@ func CheckResult(t testing.TB, backend string, input *netlist.Design, res portfo
 		}
 	}
 
-	// Legality: movable macros inside the region (ulp-level tolerance
-	// for SetCenter/ClampInto round-trips), overlap within tolerance.
-	eps := 1e-6 * (d.Region.W() + d.Region.H())
-	for _, m := range d.MovableMacroIndices() {
-		r := d.Nodes[m].Rect()
-		if r.Lx < d.Region.Lx-eps || r.Ly < d.Region.Ly-eps ||
-			r.Ux > d.Region.Ux+eps || r.Uy > d.Region.Uy+eps {
-			t.Errorf("%s: macro %s outside region: %v", backend, d.Nodes[m].Name, r)
-		}
+	// Legality: the constraint audit is clean (region or fence
+	// containment within ulp-level tolerance, halo/channel spacing,
+	// snapping; with nil Phys just bare overlap), and no movable macro
+	// overlaps another beyond ulp-sized packing slivers.
+	if rep := d.ConstraintViolations(); !rep.Clean() {
+		t.Errorf("%s: constraint violations on %s: %s", backend, d.Name, rep)
 	}
-	var macroArea float64
-	for _, m := range d.MacroIndices() {
-		macroArea += d.Nodes[m].Area()
-	}
-	if macroArea > 0 && res.MacroOverlap > 0.05*macroArea {
-		t.Errorf("%s: overlap %v is %.1f%% of macro area", backend, res.MacroOverlap, res.MacroOverlap/macroArea*100)
+	if mo := d.MovableOverlap(); mo > d.ConvergenceEps() {
+		t.Errorf("%s: movable-macro overlap %v on %s exceeds %v", backend, mo, d.Name, d.ConvergenceEps())
 	}
 
 	// Metric truthfulness: reported values equal recomputation from
@@ -305,18 +298,18 @@ func CheckResult(t testing.TB, backend string, input *netlist.Design, res portfo
 	if got := d.HPWL(); got != res.HPWL {
 		t.Errorf("%s: reported HPWL %v != recomputed %v", backend, res.HPWL, got)
 	}
-	if got := portfolio.RecomputeOverlap(d); got != res.MacroOverlap {
+	if got := d.MacroOverlap(); got != res.MacroOverlap {
 		t.Errorf("%s: reported overlap %v != recomputed %v", backend, res.MacroOverlap, got)
 	}
 
 	// Converged truthfulness: the flag may never claim a separation
 	// the geometry contradicts (modulo ulp-sized packing slivers).
 	if res.Converged {
-		if mo := portfolio.MovableOverlap(d); mo > portfolio.ConvergenceEps(d) {
+		if mo := d.MovableOverlap(); mo > d.ConvergenceEps() {
 			t.Errorf("%s: Converged set but movable-macro overlap = %v", backend, mo)
 		}
 	} else if !allowUnconverged {
-		t.Errorf("%s: did not converge on %s (movable overlap %v)", backend, d.Name, portfolio.MovableOverlap(d))
+		t.Errorf("%s: did not converge on %s (movable overlap %v)", backend, d.Name, d.MovableOverlap())
 	}
 }
 

@@ -153,10 +153,12 @@ type Result struct {
 	// HPWL is the final full-netlist half-perimeter wirelength; it
 	// equals Placed.HPWL() exactly (a conformance invariant).
 	HPWL float64 `json:"hpwl"`
-	// MacroOverlap is the residual macro-macro overlap area.
+	// MacroOverlap is the residual macro-macro overlap area
+	// (Design.MacroOverlap).
 	MacroOverlap float64 `json:"macro_overlap"`
 	// Converged reports whether legalization eliminated every
-	// movable-macro overlap (the surfaced shoveMacros give-up).
+	// movable-macro overlap and constraint violation (the surfaced
+	// give-up of legalize.EnforceConstraints).
 	Converged bool `json:"converged"`
 	// Interrupted marks runs degraded by cancellation; the result is
 	// still a complete legal placement.

@@ -77,14 +77,14 @@ func Legalize(d *netlist.Design, cfg Config) (Result, error) {
 	}
 
 	// Obstacles: macros (movable and fixed) and any fixed non-pad.
-	// Under active constraints macros are inflated by their pads so
-	// cells keep out of halos and channels too.
+	// Macros are inflated by their pads (zero with nil Phys) so cells
+	// keep out of halos and channels too.
 	var obstacles []geom.Rect
 	for i := range d.Nodes {
 		n := &d.Nodes[i]
 		if n.Kind == netlist.Macro || (n.Fixed && n.Kind != netlist.Pad) {
 			r := n.Rect()
-			if n.Kind == netlist.Macro && phys.Active() {
+			if n.Kind == netlist.Macro {
 				px, py := phys.Pad(n.Name)
 				r = r.Inflate(px, py)
 			}

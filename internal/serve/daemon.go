@@ -33,8 +33,9 @@ var errDrainJob = errors.New("serve: daemon draining")
 // terminal: the job's context must not outlive the job, or every
 // completed job pins a child of the daemon's base context until
 // shutdown (and a DELETE after completion would flip the recorded
-// cause). runJob distinguishes real causes from this one by ordering —
-// it is only ever installed after the terminal transition.
+// cause). Job.setState installs it on the terminal transition, before
+// the state is visible; runJob reads the cause before that transition,
+// so it only ever sees real causes.
 var errJobDone = errors.New("serve: job finished")
 
 // Config tunes a daemon Server. The zero value serves one worker, an
@@ -283,12 +284,6 @@ func (d *Server) Drain(ctx context.Context) error {
 // runJob is the worker-side job lifecycle: skip-if-cancelled, state
 // transitions, panic containment, artifact persistence, metrics.
 func (d *Server) runJob(ctx context.Context, j *Job) {
-	// Release the job's context once the job is terminal: a completed
-	// job must not pin a live child of the daemon's base context, and a
-	// late DELETE must not install ErrCancelled over the real outcome.
-	// WithCancelCause keeps the FIRST cause, so this deferred call is a
-	// no-op whenever a real cancellation already happened.
-	defer j.cancel(errJobDone)
 	obsQueueWait.Observe(time.Since(j.Status().Created).Seconds())
 	if ctx.Err() != nil {
 		// Cancelled (client or drain) before a worker picked it up.

@@ -544,8 +544,8 @@ type Job struct {
 	priorDir string
 
 	// ctx is the job's lifecycle context (a cancel-cause child of the
-	// daemon's base); runJob releases it with errJobDone once the job
-	// is terminal so completed jobs pin nothing.
+	// daemon's base); setState releases it with errJobDone on the
+	// terminal transition so completed jobs pin nothing.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 
@@ -628,20 +628,25 @@ func (j *Job) AppendEvent(typ, data string) {
 
 // setState transitions the lifecycle state (appending a "state" event)
 // unless the job is already terminal; it reports whether the
-// transition happened.
+// transition happened. A terminal transition releases the job's
+// context with errJobDone before the state becomes visible, so no
+// observer sees a terminal job whose context has no cause yet.
+// WithCancelCause keeps the first cause, so a real cancellation that
+// came earlier still wins.
 func (j *Job) setState(s State) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return false
 	}
-	j.state = s
 	switch s {
 	case StateRunning:
 		j.started = time.Now()
 	case StateDone, StateFailed, StateCancelled:
+		j.cancel(errJobDone)
 		j.finished = time.Now()
 	}
+	j.state = s
 	j.events = append(j.events, Event{
 		Seq: len(j.events) + 1, Time: time.Now(), Type: "state", Data: string(s),
 	})

@@ -52,7 +52,7 @@ func (slowPlacer) PlaceContext(ctx context.Context, d *netlist.Design, opts port
 	res := portfolio.Result{
 		Backend:      "slowtest",
 		HPWL:         work.HPWL(),
-		MacroOverlap: portfolio.RecomputeOverlap(work),
+		MacroOverlap: work.MacroOverlap(),
 		Converged:    br.Converged,
 		Placed:       work,
 	}

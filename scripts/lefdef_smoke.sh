@@ -15,7 +15,9 @@
 #      nonzero otherwise),
 #   3. the synthesize path gets the same treatment: a synthetic bench
 #      placed with -defout emits a DEF plus companion LEF from nothing,
-#      and defcheck re-reads that pair bit-identically too.
+#      and defcheck re-reads that pair bit-identically too; with no
+#      constraint knobs its audit (bare macro overlap, region
+#      containment) must print and be clean.
 #
 # Usage: scripts/lefdef_smoke.sh
 set -eu
@@ -65,6 +67,8 @@ echo "== synthesize path: bench -> DEF+LEF out -> re-read"
 synth_bits=$(bits "$workdir/synth.out")
 "$workdir/defcheck" -lef "$workdir/synth.lef" -def "$workdir/synth.def" \
     >"$workdir/synthcheck.out" || { echo "lefdef_smoke: defcheck rejected the synthesized DEF" >&2; exit 1; }
+grep -q "^constraints: *halo overlaps 0 (area 0), fence violations 0, snap violations 0$" "$workdir/synthcheck.out" \
+    || { echo "lefdef_smoke: unconstrained audit missing or not clean" >&2; cat "$workdir/synthcheck.out" >&2; exit 1; }
 synthcheck_bits=$(bits "$workdir/synthcheck.out")
 [ -n "$synth_bits" ] && [ "$synth_bits" = "$synthcheck_bits" ] \
     || { echo "lefdef_smoke: synthesized HPWL diverged: '$synth_bits' vs '$synthcheck_bits'" >&2; exit 1; }
